@@ -3,7 +3,11 @@
 //! Install [`CountingAlloc`] as the `#[global_allocator]` of a test
 //! binary and read [`allocation_count`] around the region under test:
 //! the delta is the number of heap allocations (including
-//! reallocations) the region performed. Frees are not counted — the
+//! reallocations) the region performed. The counter is process-global,
+//! so it also sees every other thread — the test harness starting and
+//! reporting tests included. [`thread_allocation_count`] counts only
+//! the calling thread's allocations, which is the exact measure for a
+//! region that runs on one thread. Frees are not counted — the
 //! discipline the simulator's slot loop promises is "no new or grown
 //! allocations in steady state", and a free can never violate it.
 //!
@@ -28,9 +32,22 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or re-enters.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation, process-wide and for the calling thread.
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 /// The number of allocations and reallocations performed so far by a
 /// binary whose `#[global_allocator]` is a [`CountingAlloc`]. Always
@@ -38,6 +55,15 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The number of allocations and reallocations the *calling thread*
+/// has performed so far (same rules as [`allocation_count`]). Immune
+/// to other threads, but blind to work the region hands to threads it
+/// spawns.
+#[must_use]
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// A [`System`]-delegating allocator that counts `alloc` and `realloc`
@@ -49,7 +75,7 @@ pub struct CountingAlloc;
 // no influence on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -58,7 +84,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

@@ -16,8 +16,11 @@
 //! worker pool cannot hold them across calls; [`std::thread::scope`]
 //! is the sanctioned safe mechanism. Spawn cost is paid per fork —
 //! a few microseconds per thread, amortized over column sweeps that
-//! walk tens of thousands of nodes per shard (callers keep the serial
-//! path for `threads = 1`, which never reaches this module).
+//! walk tens of thousands of nodes per shard. The first task always
+//! runs inline on the calling thread, so a one-task fork (the slot
+//! kernel's serial path) spawns nothing and allocates nothing, and an
+//! `n`-task fork spawns `n − 1` threads while the caller works
+//! instead of idling at the join.
 //!
 //! Determinism contract: tasks share no mutable state (each owns
 //! disjoint `&mut` shard slices), so scheduling order is unobservable;
@@ -28,8 +31,9 @@
 //!
 //! [`Simulator`]: crate::sim::Simulator
 
-/// Runs every task on its own scoped thread and joins them all before
-/// returning.
+/// Runs the first task on the calling thread and every other task on
+/// its own scoped thread, and joins them all before returning. A
+/// single task runs inline without entering a thread scope at all.
 ///
 /// A panicking task propagates the panic to the caller at the join
 /// (the remaining tasks still run to completion first), matching the
@@ -39,10 +43,18 @@ where
     I: IntoIterator<Item = F>,
     F: FnOnce() + Send,
 {
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else { return };
+    let Some(second) = tasks.next() else {
+        first();
+        return;
+    };
     std::thread::scope(|scope| {
+        scope.spawn(second);
         for task in tasks {
             scope.spawn(task);
         }
+        first();
     });
 }
 
@@ -74,6 +86,21 @@ mod tests {
             }
         }));
         assert!(data.iter().all(|&v| v == 2));
+    }
+
+    #[test]
+    fn first_task_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut ran_on = [None; 3];
+        fork_join(
+            ran_on
+                .iter_mut()
+                .map(|slot| move || *slot = Some(std::thread::current().id())),
+        );
+        assert_eq!(ran_on[0], Some(caller));
+        assert!(ran_on[1..]
+            .iter()
+            .all(|id| id.is_some_and(|id| id != caller)));
     }
 
     #[test]

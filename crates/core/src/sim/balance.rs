@@ -10,15 +10,16 @@
 //! participant list walked, without allocating it).
 //!
 //! The balancer call itself is inherently serial (it sees the whole
-//! chain at once and draws from the global RNG stream); only the final
-//! credit-spend sweep is element-wise, so that is the part that shards
-//! when `threads > 1`.
+//! chain at once and draws from the global RNG stream), so it books
+//! its network-level counters (tasks migrated, offload decisions)
+//! directly on the coordinator; only the final credit-spend sweep is
+//! element-wise, so that is the part that shards.
 
 use super::columns::{self, NodeColumns};
 use super::ctx::{Package, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
-use super::{BalancerKind, Simulator};
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::{BalancerKind, SimParts};
 use crate::balance::{ChainBalanceInput, FogTask, NodeBalanceState, RouteContext};
 use neofog_types::{Energy, NodeId};
 
@@ -27,11 +28,11 @@ use neofog_types::{Energy, NodeId};
 struct CreditSweep;
 
 impl Sweep for CreditSweep {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
+        _work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let ColumnsShard {
             base,
@@ -56,7 +57,7 @@ impl Sweep for CreditSweep {
             let share = *credit;
             *credit = Energy::ZERO;
             columns::spend_budget(direct_left, *direct_eff, *discharge_eff, cap, ledger, share);
-            emit(SimEvent::RadioCharged {
+            sink.emit(SimEvent::RadioCharged {
                 node: *base + local,
                 energy: share,
                 purpose: RadioPurpose::Balance,
@@ -65,11 +66,10 @@ impl Sweep for CreditSweep {
     }
 }
 
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    if !sim.cfg.system.is_fog_capable() || matches!(sim.cfg.balancer, BalancerKind::None) {
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
+    if !parts.cfg.system.is_fog_capable() || matches!(parts.cfg.balancer, BalancerKind::None) {
         return;
     }
-    let (parts, mut bus) = sim.split();
     let cols = &mut *parts.nodes;
     // One representative per position: the awake clone (if any).
     let reps: Vec<Option<usize>> = parts
@@ -141,7 +141,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     let report = parts
         .balancer
         .balance_routed(&mut input, &route, parts.rng, &mut ctx.offload);
-    bus.emit(&SimEvent::TasksMigrated {
+    parts.emit_network(SimEvent::TasksMigrated {
         interrupted: report.interrupted_regions,
         moved: report.tasks_moved,
         hops: report.transfer_hops,
@@ -153,7 +153,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         let Some(node) = rep_map.get(d.position).copied().flatten() else {
             continue;
         };
-        bus.emit(&SimEvent::OffloadDecided {
+        parts.emit_network(SimEvent::OffloadDecided {
             node,
             target: d.target,
             tasks: d.tasks,
@@ -164,6 +164,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // Apply the assignment: rebuild each representative's pending
     // queue from the post-balance task tags (a tag names the
     // original holder and its queue index).
+    let cols = &mut *parts.nodes;
     let all_packages: Vec<Vec<Package>> = cols
         .cold
         .iter_mut()
@@ -222,16 +223,7 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         // cleanly). The share is charged whether or not the spend
         // lands in full — the airtime happened either way.
         if participants > 0 {
-            drive(
-                cols,
-                &mut ctx.ledgers,
-                &mut ctx.shards,
-                parts.threads,
-                parts.cfg.positions,
-                parts.cfg.multiplex as usize,
-                &mut bus,
-                &CreditSweep,
-            );
+            drive(parts, ctx, &CreditSweep);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! because the head package stays borrowed across them.
 //!
 //! Both loops are per-node independent, so each runs as its own shard
-//! sweep when `threads > 1` — execution completes fleet-wide before
+//! sweep — execution completes fleet-wide before
 //! shedding starts, exactly as the serial order has it, and the stale
 //! partition uses the *shard's* package scratch so workers never share
 //! a buffer.
@@ -24,10 +24,10 @@
 //! [`NodeView`]: super::columns::NodeView
 
 use super::columns;
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
-use super::Simulator;
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::SimParts;
 use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::RfTimings;
 use neofog_types::{Duration, Power};
@@ -41,11 +41,11 @@ struct ExecSweep<'a> {
 }
 
 impl Sweep for ExecSweep<'_> {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
+        _work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let slot_len = self.slot_len;
         for local in 0..shard.len() {
@@ -108,7 +108,7 @@ impl Sweep for ExecSweep<'_> {
                 ) {
                     break;
                 }
-                emit(SimEvent::FogProgressed {
+                sink.emit(SimEvent::FogProgressed {
                     node,
                     instructions: run,
                     energy: cost,
@@ -120,7 +120,7 @@ impl Sweep for ExecSweep<'_> {
                     let finished = view.pending.remove(0);
                     view.outbox.push(finished);
                     *view.fifo_depth -= 1;
-                    emit(SimEvent::FogCompleted { node });
+                    sink.emit(SimEvent::FogCompleted { node });
                 }
             }
         }
@@ -134,11 +134,11 @@ struct ShedSweep {
 }
 
 impl Sweep for ShedSweep {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        pkg: &mut Vec<Package>,
-        mut emit: E,
+        work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let stale_after = 20;
         for local in 0..shard.len() {
@@ -153,7 +153,7 @@ impl Sweep for ShedSweep {
             // Partition through the shard's package scratch (retain
             // keeps order, like the drain/partition it replaces,
             // without allocating).
-            let stale = &mut *pkg;
+            let stale = &mut *work.pkg;
             stale.clear();
             view.pending.retain(|p| {
                 let is_stale =
@@ -167,7 +167,7 @@ impl Sweep for ShedSweep {
             if view.cap.fraction() > 0.6 {
                 view.outbox.extend_from_slice(stale);
             } else if !stale.is_empty() {
-                emit(SimEvent::PackageShed {
+                sink.emit(SimEvent::PackageShed {
                     node,
                     count: stale.len() as u64,
                     reason: ShedReason::Stale,
@@ -177,28 +177,14 @@ impl Sweep for ShedSweep {
     }
 }
 
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let fog_capable = sim.cfg.system.is_fog_capable();
-    let (parts, mut bus) = sim.split();
-    let n_pos = parts.cfg.positions;
-    let multiplex = parts.cfg.multiplex as usize;
-
-    if fog_capable {
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
+    if parts.cfg.system.is_fog_capable() {
         let exec = ExecSweep {
             slot_len: parts.cfg.slot_len,
             spendthrift: parts.spendthrift,
             rf: parts.rf,
         };
-        drive(
-            parts.nodes,
-            &mut ctx.ledgers,
-            &mut ctx.shards,
-            parts.threads,
-            n_pos,
-            multiplex,
-            &mut bus,
-            &exec,
-        );
+        drive(parts, ctx, &exec);
     }
 
     // Stale pending packages: a node flush with energy ships them
@@ -206,14 +192,5 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
     // (§5.1). An empty FIFO has nothing to shed and emits nothing —
     // the depth column skips the whole row.
     let shed = ShedSweep { slot: ctx.slot };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        n_pos,
-        multiplex,
-        &mut bus,
-        &shed,
-    );
+    drive(parts, ctx, &shed);
 }

@@ -95,10 +95,14 @@ pub(crate) struct SlotCtx {
     pub(crate) route_acc: Vec<u64>,
     /// Balance-phase scratch: offload decisions taken this slot.
     pub(crate) offload: Vec<OffloadDecision>,
-    /// Per-shard scratch for the parallel sweeps: event buffers,
+    /// Per-shard scratch for the sweeps: event and spill buffers,
     /// package scratch and fold partials, one per configured worker
-    /// (always at least one — the serial path uses `shards[0].pkg`).
+    /// (always at least one — the serial path is a single shard).
     pub(crate) shards: Vec<ShardScratch>,
+    /// Logical positions per shard (the last shard may be short).
+    pub(crate) pos_per_shard: usize,
+    /// Physical nodes per shard: `pos_per_shard × multiplex`.
+    pub(crate) nodes_per_shard: usize,
 }
 
 impl SlotCtx {
@@ -123,10 +127,12 @@ impl SlotCtx {
     pub(crate) fn warm_shards(&mut self, n_phys: usize, n_pos: usize, threads: usize) {
         let shards = threads.min(n_pos).max(1);
         let per = pos_per_shard(n_pos, shards);
-        let multiplex = n_phys / n_pos.max(1);
+        let multiplex = (n_phys / n_pos.max(1)).max(1);
+        self.pos_per_shard = per;
+        self.nodes_per_shard = per * multiplex;
         self.shards.clear();
         self.shards
-            .extend((0..shards).map(|_| ShardScratch::warmed(per * multiplex.max(1))));
+            .extend((0..shards).map(|_| ShardScratch::warmed(per * multiplex)));
     }
 
     /// Resets the context for `slot`, opening one ledger per node.
@@ -141,10 +147,12 @@ impl SlotCtx {
         self.ledgers
             .extend(nodes.cap.iter().map(|c| EnergyLedger::open(c.stored())));
         self.forward_bytes.clear();
+        self.forward_bytes.resize(cfg.positions, 0);
         self.route_acc.clear();
         self.offload.clear();
         for shard in &mut self.shards {
             shard.events.clear();
+            shard.spill.clear();
             shard.pkg.clear();
             shard.fold_total = 0;
         }

@@ -2,12 +2,13 @@
 //!
 //! Every observable state change in a slot — energy booked, a node
 //! waking or failing, tasks migrating, packages moving — is described
-//! by one [`SimEvent`] value emitted through the
-//! [`SimObserver`](crate::sim::SimObserver) bus. The phase functions
-//! emit events at exactly the point the change happens, so an event
-//! stream is a complete, ordered record of a run: the metrics, the
-//! debug energy ledger and the stored-energy trace are all pure
-//! folds over it.
+//! by one [`SimEvent`] value. The phase functions emit events at
+//! exactly the point the change happens: the kernel folds each one
+//! into its counters on the spot, and, when a
+//! [`SimObserver`](crate::sim::SimObserver) listens, records it for
+//! ordered replay. A recorded stream is therefore a complete, ordered
+//! record of a run: the metrics, the debug energy ledger and the
+//! stored-energy trace are all pure folds over it.
 
 use crate::balance::OffloadTarget;
 use neofog_types::Energy;
@@ -235,6 +236,36 @@ impl SimEvent {
             SimEvent::CapacitorLeaked { .. } => "capacitor_leaked",
             SimEvent::LedgerSettled { .. } => "ledger_settled",
             SimEvent::SlotEnded { .. } => "slot_ended",
+        }
+    }
+
+    /// The physical node whose per-node counter row
+    /// ([`NetworkMetrics::nodes`](crate::metrics::NetworkMetrics::nodes))
+    /// this event books into: the acting node for most events, the
+    /// capturing `origin` for deliveries and losses. `None` for events
+    /// that touch no per-node counter — slot boundaries, the
+    /// network-level balance counters, leak and ledger audits.
+    #[inline]
+    pub(crate) fn counter_row(&self) -> Option<usize> {
+        match *self {
+            SimEvent::HarvestBooked { node, .. }
+            | SimEvent::CapacitorOverflow { node, .. }
+            | SimEvent::NodeWoke { node }
+            | SimEvent::WakeFailed { node }
+            | SimEvent::PackageCaptured { node }
+            | SimEvent::PackageShed { node, .. }
+            | SimEvent::RadioCharged { node, .. }
+            | SimEvent::FogProgressed { node, .. }
+            | SimEvent::FogCompleted { node } => Some(node),
+            SimEvent::PackageDelivered { origin, .. } | SimEvent::PackageLost { origin } => {
+                Some(origin)
+            }
+            SimEvent::SlotBegan { .. }
+            | SimEvent::TasksMigrated { .. }
+            | SimEvent::OffloadDecided { .. }
+            | SimEvent::CapacitorLeaked { .. }
+            | SimEvent::LedgerSettled { .. }
+            | SimEvent::SlotEnded { .. } => None,
         }
     }
 }

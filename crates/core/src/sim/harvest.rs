@@ -15,12 +15,12 @@
 //! config); the budget efficiencies are per-run scalars set when the
 //! columns were scattered, so nothing is stored per node here. There
 //! is no cross-node data flow, so the sweep runs per shard through
-//! [`drive`] when `threads > 1`.
+//! [`drive`].
 
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::SimEvent;
-use super::shard::{drive, ColumnsShard, Sweep};
-use super::Simulator;
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::SimParts;
 use neofog_energy::FrontEnd;
 use neofog_types::{Duration, Energy, Power};
 
@@ -33,11 +33,11 @@ struct HarvestSweep {
 }
 
 impl Sweep for HarvestSweep {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
+        _work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let has_direct = self.fe.has_direct_channel();
         let ColumnsShard {
@@ -90,32 +90,22 @@ impl Sweep for HarvestSweep {
                 // pool column stays at the zero `begin_slot` gave it.
                 let receipt = cap.charge_metered(income);
                 ledger.debit_loss(income.saturating_sub(receipt.banked));
-                emit(SimEvent::CapacitorOverflow {
+                sink.emit(SimEvent::CapacitorOverflow {
                     node,
                     rejected: receipt.rejected,
                 });
             }
-            emit(SimEvent::HarvestBooked { node, income });
+            sink.emit(SimEvent::HarvestBooked { node, income });
         }
     }
 }
 
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
     let sweep = HarvestSweep {
         t0: ctx.t0,
         t1: ctx.t1,
         slot_len: parts.cfg.slot_len,
         fe: parts.cfg.node.front_end,
     };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        parts.cfg.positions,
-        parts.cfg.multiplex as usize,
-        &mut bus,
-        &sweep,
-    );
+    drive(parts, ctx, &sweep);
 }

@@ -41,16 +41,25 @@
 //! 6. [`slot_end`] — volatile nodes lose their queues; capacitors
 //!    leak; conservation ledgers settle.
 //!
-//! # The event bus
+//! # Counters and events
 //!
-//! Phases never touch a counter directly: every observable state
-//! change is emitted as a [`SimEvent`] and folded by observers.
-//! [`MetricsObserver`] (the paper's counters), [`StoredTraceObserver`]
-//! (the Figure-9 series), [`LedgerObserver`] (debug conservation
-//! checks) and the JSONL [`EventLogObserver`] are all such folds;
-//! additional recorders attach via [`Simulator::attach_observer`].
-//! Observers are write-only taps — attaching one can never change a
-//! [`SimResult`].
+//! The kernel owns its counters. Every observable state change is
+//! described by a [`SimEvent`], and each phase sweep hands it to its
+//! shard's sink, which applies the event's counter arithmetic straight
+//! to the simulator-owned [`NetworkMetrics`] row it names — the paper's
+//! counters never take a detour through an observer. The slot-end sweep
+//! samples the Figure-9 stored-energy series the same way when
+//! [`SimConfig::trace_stored`] is set.
+//!
+//! Events are opt-in taps. Only when an observer listens — the JSONL
+//! [`EventLogObserver`] (`events_path`), the debug-build
+//! [`LedgerObserver`], or anything attached via
+//! [`Simulator::attach_observer`] — do the shards record their events,
+//! which the coordinator replays in serial order. Observers are
+//! write-only: attaching one can never change a [`SimResult`].
+//! [`MetricsObserver`] and [`StoredTraceObserver`] remain as oracles:
+//! folding the event stream into them reproduces the kernel's counters
+//! and series exactly.
 
 mod balance;
 mod columns;
@@ -84,7 +93,6 @@ use neofog_net::{RoutePlan, TopologySpec};
 use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::{LossModel, RfTimings};
 use neofog_types::{Duration, Energy, NeoFogError, Power, Result, SimRng};
-use observe::EventBus;
 use serde::{Deserialize, Serialize};
 
 /// Which balancer a simulation uses.
@@ -286,19 +294,15 @@ pub struct Simulator {
     rf: RfTimings,
     spendthrift: SpendthriftPolicy,
     rng: SimRng,
-    /// The counters fold (sole producer of the result metrics).
-    metrics: MetricsObserver,
-    /// The Figure-9 stored-energy fold, when `trace_stored` is set.
-    trace: Option<StoredTraceObserver>,
-    /// Pluggable observers: debug ledger checks, the JSONL event log
-    /// and anything attached via [`Simulator::attach_observer`].
+    /// The result counters, written by the slot kernel itself.
+    metrics: NetworkMetrics,
+    /// Event taps: debug ledger checks, the JSONL event log and
+    /// anything attached via [`Simulator::attach_observer`]. Empty
+    /// means no events are built at all.
     observers: Observers,
     /// Reusable per-slot scratch: cleared and refilled every slot so
     /// the steady-state loop allocates nothing after warm-up.
     scratch: SlotCtx,
-    /// Resolved shard-kernel worker count (`cfg.threads` with `0`
-    /// replaced by the machine's available parallelism; always ≥ 1).
-    threads: usize,
     /// Slots advanced so far (see [`Simulator::advance`]).
     next_slot: u64,
 }
@@ -314,9 +318,8 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The simulation state a phase may read and mutate, split from the
-/// observer stack so a phase can hold `&mut` node state while emitting
-/// events.
+/// The simulation state a phase may read and mutate: node state, the
+/// result counters and the event taps, as disjoint borrows.
 pub(crate) struct SimParts<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) nodes: &'a mut NodeColumns,
@@ -328,8 +331,17 @@ pub(crate) struct SimParts<'a> {
     pub(crate) rf: &'a RfTimings,
     pub(crate) spendthrift: &'a SpendthriftPolicy,
     pub(crate) rng: &'a mut SimRng,
-    /// Resolved shard-kernel worker count (see [`SimConfig::threads`]).
-    pub(crate) threads: usize,
+    pub(crate) metrics: &'a mut NetworkMetrics,
+    pub(crate) observers: &'a mut Observers,
+}
+
+impl SimParts<'_> {
+    /// Books a network-level event from the serial coordinator (the
+    /// balance and offload counters) and hands it to the taps.
+    pub(crate) fn emit_network(&mut self, event: SimEvent) {
+        observe::fold_network(self.metrics, &event);
+        self.observers.on_event(&event);
+    }
 }
 
 impl Simulator {
@@ -394,8 +406,13 @@ impl Simulator {
         let nodes = NodeColumns::scatter(nodes, cfg.node.front_end);
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
-        let metrics = MetricsObserver::new(physical);
-        let trace = cfg.trace_stored.then(|| StoredTraceObserver::new(physical));
+        let mut metrics = NetworkMetrics::new(physical);
+        if cfg.trace_stored {
+            let slots = usize::try_from(cfg.slots).unwrap_or(0);
+            for row in &mut metrics.nodes {
+                row.stored_series.reserve(slots);
+            }
+        }
         let mut observers = Observers::default();
         #[cfg(debug_assertions)]
         observers.push(Box::new(LedgerObserver));
@@ -414,10 +431,8 @@ impl Simulator {
             spendthrift: SpendthriftPolicy::paper_default(),
             rng: SimRng::seed_from(cfg.seed ^ 0xBA1A),
             metrics,
-            trace,
             observers,
             scratch: SlotCtx::warmed(physical, cfg.positions, threads),
-            threads,
             next_slot: 0,
             cfg,
         })
@@ -428,15 +443,15 @@ impl Simulator {
     /// unaffected — every thread count produces the same event stream —
     /// so benchmarks reuse one built simulator across thread variants.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = resolve_threads(threads);
         self.cfg.threads = threads;
         let physical = self.nodes.len();
         self.scratch
-            .warm_shards(physical, self.cfg.positions, self.threads);
+            .warm_shards(physical, self.cfg.positions, resolve_threads(threads));
     }
 
-    /// Attaches an additional observer behind the built-in recorders
-    /// (delivery order: metrics, trace, then attach order).
+    /// Attaches an event tap behind the built-in ones (delivery order:
+    /// the debug ledger, the `events_path` log, then attach order).
+    /// From the next slot on, the shards record their events for it.
     pub fn attach_observer(&mut self, observer: Box<dyn SimObserver>) {
         self.observers.push(observer);
     }
@@ -511,18 +526,11 @@ impl Simulator {
         }
         let Simulator {
             cfg,
-            mut metrics,
-            trace,
+            metrics,
             mut observers,
             ..
         } = self;
-        metrics.on_finish();
         observers.on_finish();
-        let mut metrics = metrics.into_metrics();
-        if let Some(mut trace) = trace {
-            trace.on_finish();
-            trace.merge_into(&mut metrics);
-        }
         SimResult {
             config: cfg,
             metrics,
@@ -537,19 +545,20 @@ impl Simulator {
         let mut ctx = std::mem::take(&mut self.scratch);
         self.nodes.begin_slot();
         ctx.reset(&self.cfg, &self.nodes, slot);
-        self.emit(&SimEvent::SlotBegan { slot });
-        harvest::run(self, &mut ctx);
-        wake::run(self, &mut ctx);
-        balance::run(self, &mut ctx);
-        compute::run(self, &mut ctx);
-        transmit::run(self, &mut ctx);
-        slot_end::run(self, &mut ctx);
-        self.emit(&SimEvent::SlotEnded { slot });
+        let mut parts = self.parts();
+        parts.observers.on_event(&SimEvent::SlotBegan { slot });
+        harvest::run(&mut parts, &mut ctx);
+        wake::run(&mut parts, &mut ctx);
+        balance::run(&mut parts, &mut ctx);
+        compute::run(&mut parts, &mut ctx);
+        transmit::run(&mut parts, &mut ctx);
+        slot_end::run(&mut parts, &mut ctx);
+        parts.observers.on_event(&SimEvent::SlotEnded { slot });
         self.scratch = ctx;
     }
 
-    /// Splits the simulator into phase-visible state and the event bus.
-    pub(crate) fn split(&mut self) -> (SimParts<'_>, EventBus<'_>) {
+    /// Splits the simulator into the disjoint borrows the phases use.
+    fn parts(&mut self) -> SimParts<'_> {
         let Simulator {
             cfg,
             nodes,
@@ -562,38 +571,24 @@ impl Simulator {
             spendthrift,
             rng,
             metrics,
-            trace,
             observers,
             scratch: _,
-            threads,
             next_slot: _,
         } = self;
-        (
-            SimParts {
-                cfg,
-                nodes,
-                positions,
-                route,
-                caps,
-                balancer,
-                loss,
-                rf,
-                spendthrift,
-                rng,
-                threads: *threads,
-            },
-            EventBus {
-                metrics,
-                trace: trace.as_mut(),
-                extra: observers,
-            },
-        )
-    }
-
-    /// Emits one event outside any phase (slot boundaries).
-    fn emit(&mut self, event: &SimEvent) {
-        let (_parts, mut bus) = self.split();
-        bus.emit(event);
+        SimParts {
+            cfg,
+            nodes,
+            positions,
+            route,
+            caps,
+            balancer,
+            loss,
+            rf,
+            spendthrift,
+            rng,
+            metrics,
+            observers,
+        }
     }
 }
 

@@ -1,22 +1,27 @@
-//! The observer bus: pluggable recorders fed by [`SimEvent`]s.
+//! Event taps: the [`SimObserver`] trait and the recorders built on it.
 //!
-//! The phase functions know nothing about metrics, traces or logs —
-//! they only emit events. Everything recorded about a run is an
-//! implementation of [`SimObserver`] folded over the event stream:
+//! The slot kernel owns its counters — every phase sweep writes the
+//! paper's [`NetworkMetrics`] directly through its shard sink — so
+//! events are an *opt-in* view of a run, not the route results take.
+//! A shard records [`SimEvent`]s only while at least one observer is
+//! attached; the coordinator then replays them in serial order into
+//! the [`Observers`] fan-out. Observers are write-only taps: attaching
+//! one can never change a [`SimResult`](crate::sim::SimResult).
 //!
-//! * [`MetricsObserver`] — the paper's counters ([`NetworkMetrics`]).
-//! * [`StoredTraceObserver`] — the Figure-9 stored-energy series.
-//! * [`LedgerObserver`](crate::sim::LedgerObserver) — the debug-build
-//!   conservation checker.
 //! * [`EventLogObserver`] — a deterministic JSONL event log for replay
-//!   and slot-by-slot diffing.
+//!   and slot-by-slot diffing (`SimConfig::events_path`).
+//! * [`LedgerObserver`](crate::sim::LedgerObserver) — the debug-build
+//!   conservation checker, attached automatically in debug builds.
+//! * [`MetricsObserver`] and [`StoredTraceObserver`] — test oracles:
+//!   folding the event stream into either must give exactly the
+//!   kernel's counters and Figure-9 series.
 //!
-//! Additional observers compose through the [`Observers`] fan-out and
+//! Additional observers attach via
 //! [`Simulator::attach_observer`](crate::sim::Simulator::attach_observer).
 
 use super::event::SimEvent;
 use crate::balance::OffloadTarget;
-use crate::metrics::NetworkMetrics;
+use crate::metrics::{NetworkMetrics, NodeMetrics};
 use neofog_types::{NeoFogError, Result};
 use std::io::Write;
 
@@ -80,33 +85,72 @@ impl std::fmt::Debug for Observers {
     }
 }
 
-/// The bus a phase emits through: the always-on recorders (metrics,
-/// optional trace) plus the pluggable [`Observers`] fan-out, split off
-/// the simulator so phases can hold `&mut` node state alongside it.
-pub(crate) struct EventBus<'a> {
-    pub(crate) metrics: &'a mut MetricsObserver,
-    pub(crate) trace: Option<&'a mut StoredTraceObserver>,
-    pub(crate) extra: &'a mut Observers,
-}
-
-impl EventBus<'_> {
-    /// Delivers one event to every recorder, in a fixed order.
-    pub(crate) fn emit(&mut self, event: &SimEvent) {
-        self.metrics.on_event(event);
-        if let Some(trace) = self.trace.as_deref_mut() {
-            trace.on_event(event);
+/// Applies one event's per-node counter arithmetic to `row` — the
+/// single definition of what each node-keyed event means for
+/// [`NodeMetrics`]. The kernel's shard sinks call it on the row the
+/// event names ([`SimEvent::counter_row`]), and [`MetricsObserver`]
+/// calls it on its replayed copy, so the two can never disagree.
+/// Network-level and audit-only events leave the row untouched.
+#[inline]
+pub(crate) fn fold_node(row: &mut NodeMetrics, event: &SimEvent) {
+    match *event {
+        SimEvent::HarvestBooked { income, .. } => row.harvested += income,
+        SimEvent::CapacitorOverflow { rejected, .. } => row.rejected += rejected,
+        SimEvent::NodeWoke { .. } => row.wakeups += 1,
+        SimEvent::WakeFailed { .. } => row.failures += 1,
+        SimEvent::PackageCaptured { .. } => row.captured += 1,
+        SimEvent::PackageShed { count, .. } => row.dropped += count,
+        SimEvent::RadioCharged { energy, .. } => row.radio_energy += energy,
+        SimEvent::FogProgressed { energy, .. } => row.compute_energy += energy,
+        SimEvent::FogCompleted { .. } => row.tasks_executed += 1,
+        SimEvent::PackageDelivered { fog_done, .. } => {
+            if fog_done {
+                row.delivered_fog += 1;
+            } else {
+                row.delivered_cloud += 1;
+            }
         }
-        self.extra.on_event(event);
+        SimEvent::PackageLost { .. } => row.dropped += 1,
+        SimEvent::SlotBegan { .. }
+        | SimEvent::TasksMigrated { .. }
+        | SimEvent::OffloadDecided { .. }
+        | SimEvent::CapacitorLeaked { .. }
+        | SimEvent::LedgerSettled { .. }
+        | SimEvent::SlotEnded { .. } => {}
     }
 }
 
-/// Folds the event stream into the paper's [`NetworkMetrics`].
+/// Applies one event's network-level counter arithmetic (the balance
+/// and offload totals); every other event leaves `metrics` untouched.
+pub(crate) fn fold_network(metrics: &mut NetworkMetrics, event: &SimEvent) {
+    match *event {
+        SimEvent::TasksMigrated {
+            interrupted,
+            moved,
+            hops,
+        } => {
+            metrics.balance_interruptions += interrupted;
+            metrics.balance_tasks_moved += moved;
+            metrics.balance_transfer_hops += hops;
+        }
+        SimEvent::OffloadDecided { target, tasks, .. } => {
+            metrics.offload_decisions += 1;
+            if !matches!(target, OffloadTarget::Local) {
+                metrics.offload_shipped_tasks += tasks;
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Folds an event stream into the paper's [`NetworkMetrics`].
 ///
-/// This is the sole writer of the counters a
-/// [`SimResult`](crate::sim::SimResult) reports; it applies each event
-/// to exactly
-/// the field the pre-pipeline slot loop mutated at the same program
-/// point, so the fold reproduces the original metrics bit-for-bit.
+/// The simulator does not use it: the slot kernel writes its counters
+/// directly. This fold is the *oracle* for that contract — attach one
+/// (or replay a JSONL log into one) and it reproduces the kernel's
+/// [`SimResult::metrics`](crate::sim::SimResult::metrics) exactly,
+/// because both apply the same per-event arithmetic in the same
+/// per-node order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsObserver {
     metrics: NetworkMetrics,
@@ -136,59 +180,25 @@ impl MetricsObserver {
 
 impl SimObserver for MetricsObserver {
     fn on_event(&mut self, event: &SimEvent) {
-        match *event {
-            SimEvent::HarvestBooked { node, income } => {
-                self.metrics.nodes[node].harvested += income;
-            }
-            SimEvent::CapacitorOverflow { node, rejected } => {
-                self.metrics.nodes[node].rejected += rejected;
-            }
-            SimEvent::NodeWoke { node } => self.metrics.nodes[node].wakeups += 1,
-            SimEvent::WakeFailed { node } => self.metrics.nodes[node].failures += 1,
-            SimEvent::PackageCaptured { node } => self.metrics.nodes[node].captured += 1,
-            SimEvent::PackageShed { node, count, .. } => {
-                self.metrics.nodes[node].dropped += count;
-            }
-            SimEvent::TasksMigrated {
-                interrupted,
-                moved,
-                hops,
-            } => {
-                self.metrics.balance_interruptions += interrupted;
-                self.metrics.balance_tasks_moved += moved;
-                self.metrics.balance_transfer_hops += hops;
-            }
-            SimEvent::OffloadDecided { target, tasks, .. } => {
-                self.metrics.offload_decisions += 1;
-                if !matches!(target, OffloadTarget::Local) {
-                    self.metrics.offload_shipped_tasks += tasks;
+        match event.counter_row() {
+            Some(node) => {
+                if let Some(row) = self.metrics.nodes.get_mut(node) {
+                    fold_node(row, event);
                 }
             }
-            SimEvent::RadioCharged { node, energy, .. } => {
-                self.metrics.nodes[node].radio_energy += energy;
-            }
-            SimEvent::FogProgressed { node, energy, .. } => {
-                self.metrics.nodes[node].compute_energy += energy;
-            }
-            SimEvent::FogCompleted { node } => self.metrics.nodes[node].tasks_executed += 1,
-            SimEvent::PackageDelivered { origin, fog_done } => {
-                if fog_done {
-                    self.metrics.nodes[origin].delivered_fog += 1;
-                } else {
-                    self.metrics.nodes[origin].delivered_cloud += 1;
-                }
-            }
-            SimEvent::PackageLost { origin } => self.metrics.nodes[origin].dropped += 1,
-            SimEvent::SlotBegan { .. }
-            | SimEvent::SlotEnded { .. }
-            | SimEvent::CapacitorLeaked { .. }
-            | SimEvent::LedgerSettled { .. } => {}
+            None => fold_network(&mut self.metrics, event),
         }
     }
 }
 
 /// Records the per-slot stored-energy series (Figure 9) from the
 /// [`SimEvent::CapacitorLeaked`] event each node emits at slot end.
+///
+/// Like [`MetricsObserver`], an oracle: the slot-end sweep samples
+/// the same level into
+/// [`NodeMetrics::stored_series`] itself when
+/// [`SimConfig::trace_stored`](crate::sim::SimConfig::trace_stored) is
+/// set, and an attached copy of this fold must agree with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredTraceObserver {
     series: Vec<Vec<f32>>,

@@ -1,12 +1,13 @@
-//! Shard partitioning for the multi-core slot kernel.
+//! Shard partitioning and the per-shard sinks of the slot kernel.
 //!
 //! The element-wise phases (harvest, wake, the balance-credit charge,
-//! compute, transmit's send scan, slot end) are linear sweeps over the
-//! [`NodeColumns`] arrays with no cross-node data flow inside a slot
-//! phase. This module slices those arrays into contiguous,
-//! **position-aligned** shards so the sweeps can run on one scoped
-//! thread per shard (`runner::fork::fork_join`) while observers still
-//! see exactly the serial event sequence:
+//! compute, transmit's send and relay-duty scans, slot end) are linear
+//! sweeps over the [`NodeColumns`] arrays with no cross-node data flow
+//! inside a slot phase. This module slices those arrays into
+//! contiguous, **position-aligned** shards and runs each sweep once per
+//! shard through `runner::fork::fork_join` — the serial path
+//! (`threads == 1`) is simply one full-range shard run inline, so both
+//! paths share one code path:
 //!
 //! * **Position alignment** — physical nodes are laid out
 //!   position-major (position `p` owns indices
@@ -15,29 +16,36 @@
 //!   representative charge). Cutting shard boundaries on position
 //!   multiples keeps every write shard-local, so shards share no
 //!   mutable state at all.
-//! * **Event splicing** — each shard records its events in a reusable
-//!   per-shard buffer ([`ShardScratch`]); after the join the
-//!   coordinator replays the buffers in ascending shard order. Every
-//!   sweep emits in ascending node index within its shard, so the
-//!   spliced stream is byte-identical to the serial sweep's — the
-//!   FNV-1a event-log goldens hold for every `threads` value.
-//! * **Scratch discipline** — shard scratch (event buffer, package
-//!   scratch) is owned by [`SlotCtx`](super::ctx::SlotCtx) and reused
-//!   across slots, preserving the steady-state zero-allocation
-//!   discipline per worker; only the `thread::scope` spawns themselves
+//! * **Counters in the kernel** — every sweep writes through a
+//!   [`ShardSink`] that owns the shard's slice of the per-node
+//!   [`NodeMetrics`] rows (`chunks_mut` of `NetworkMetrics::nodes`,
+//!   aligned with the column shards). `sink.emit(e)` applies the
+//!   event's counter arithmetic to its row in place; each node's `f64`
+//!   operations keep their serial order, so the metrics are
+//!   bit-identical at every thread count. Deliveries and losses are
+//!   keyed by the package's `origin`, which balancing can place in
+//!   another shard; those go to a small per-shard spill buffer the
+//!   coordinator applies after the join (integer counters — exact in
+//!   any order).
+//! * **Events on demand** — a sink records events only while an
+//!   observer is attached (event log, debug ledger, `attach_observer`).
+//!   After the join the coordinator replays the buffers in ascending
+//!   shard order; every sweep emits in ascending node index within its
+//!   shard, so the replayed stream is byte-identical to the serial
+//!   sweep's. With no observer nothing is built, buffered or replayed.
+//! * **Scratch discipline** — shard scratch (event and spill buffers,
+//!   package scratch) is owned by [`SlotCtx`] and reused across slots,
+//!   preserving the steady-state zero-allocation discipline per
+//!   worker; only the `thread::scope` spawns of a multi-shard fork
 //!   allocate, a per-slot constant independent of fleet size.
-//!
-//! The driver [`drive`] dispatches a phase sweep either inline
-//! (`threads == 1`, today's serial path — no spawn, no buffering) or
-//! across shards. Phases with extra per-shard state (transmit's
-//! `forward_bytes` segments) build their fork manually from
-//! [`ShardIter`].
 
 use super::columns::{NodeCold, NodeColumns, NodeView};
-use super::ctx::{Package, QUEUE_RESERVE};
+use super::ctx::{Package, SlotCtx, QUEUE_RESERVE};
 use super::event::SimEvent;
 use super::ledger::EnergyLedger;
-use super::observe::EventBus;
+use super::observe::{fold_node, Observers, SimObserver};
+use super::SimParts;
+use crate::metrics::{NetworkMetrics, NodeMetrics};
 use crate::runner::fork::fork_join;
 use neofog_energy::{Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
@@ -47,14 +55,18 @@ use neofog_types::{Energy, Power};
 /// once; the steady-state loop only refills it.
 #[derive(Default)]
 pub(crate) struct ShardScratch {
-    /// Events recorded by this shard's sweep, spliced into the bus in
-    /// shard order after the join.
+    /// Events recorded by this shard's sweep while observers listen,
+    /// replayed in shard order after the join.
     pub(crate) events: Vec<SimEvent>,
-    /// Per-shard package scratch (transmit ordering, stale shedding) —
-    /// the sharded twin of the old `SlotCtx::pkg_scratch`.
+    /// Origin-keyed events (deliveries, losses) whose counter row
+    /// lies in another shard, applied by the coordinator after the
+    /// join.
+    pub(crate) spill: Vec<SimEvent>,
+    /// Per-shard package scratch (transmit ordering, stale shedding).
     pub(crate) pkg: Vec<Package>,
     /// Transmit-phase partial: total bytes sourced in this shard's
-    /// position segment, combined by the fixed-order chain reduction.
+    /// position segment, turned into the shard's carry-in by the
+    /// fixed-order chain reduction.
     pub(crate) fold_total: u64,
 }
 
@@ -67,8 +79,62 @@ impl ShardScratch {
         // any single phase (harvest: booked + overflow); debug builds
         // grow once more for the ledger settlements.
         scratch.events.reserve(2 * nodes_per_shard);
+        // Cross-shard deliveries are a subset of the shard's own, which
+        // run at about one per node and slot in steady state.
+        scratch.spill.reserve(nodes_per_shard);
         scratch.pkg.reserve(QUEUE_RESERVE);
         scratch
+    }
+}
+
+/// Per-shard slot scratch a sweep may use beside its column slices,
+/// kept apart from [`ColumnsShard`] so a sweep can hold a [`NodeView`]
+/// and the scratch at once.
+pub(crate) struct ShardWork<'a> {
+    /// Package scratch (see [`ShardScratch::pkg`]).
+    pub(crate) pkg: &'a mut Vec<Package>,
+    /// This shard's segment of the per-position relay marks
+    /// (`SlotCtx::forward_bytes[pos_base..]`).
+    pub(crate) forward: &'a mut [u64],
+    /// Transmit fold partial / carry (see [`ShardScratch::fold_total`]).
+    pub(crate) fold_total: &'a mut u64,
+}
+
+/// A shard's write path for counters and events: folds every event
+/// into the shard's own [`NodeMetrics`] rows, spills origin-keyed
+/// events that belong to another shard, and records the event only
+/// when observers listen.
+pub(crate) struct ShardSink<'a> {
+    /// Global index of the shard's first physical node (`rows[0]`).
+    base: usize,
+    rows: &'a mut [NodeMetrics],
+    spill: &'a mut Vec<SimEvent>,
+    events: Option<&'a mut Vec<SimEvent>>,
+}
+
+impl ShardSink<'_> {
+    /// Books one event: counter arithmetic on its row (or the spill
+    /// when the row lies in another shard), plus a recorded copy when
+    /// observers listen.
+    #[inline]
+    pub(crate) fn emit(&mut self, event: SimEvent) {
+        if let Some(node) = event.counter_row() {
+            match self.rows.get_mut(node.wrapping_sub(self.base)) {
+                Some(row) => fold_node(row, &event),
+                None => self.spill.push(event),
+            }
+        }
+        if let Some(events) = self.events.as_deref_mut() {
+            events.push(event);
+        }
+    }
+
+    /// Appends one Figure-9 stored-energy sample (millijoules) to
+    /// `node`'s series.
+    pub(crate) fn sample_stored(&mut self, node: usize, stored: Energy) {
+        if let Some(row) = self.rows.get_mut(node.wrapping_sub(self.base)) {
+            row.stored_series.push(stored.as_millijoules() as f32);
+        }
     }
 }
 
@@ -135,40 +201,15 @@ impl ColumnsShard<'_> {
     }
 }
 
-/// One full-range shard: the serial path's view over every node
-/// (`base == pos_base == 0`), built without any allocation.
-pub(crate) fn full<'a>(
-    cols: &'a mut NodeColumns,
-    ledgers: &'a mut [EnergyLedger],
-) -> ColumnsShard<'a> {
-    ColumnsShard {
-        base: 0,
-        pos_base: 0,
-        cap: &mut cols.cap,
-        rtc: &mut cols.rtc,
-        schedule: &cols.schedule,
-        position: &cols.position,
-        hops_to_sink: &cols.hops_to_sink,
-        fifo_depth: &mut cols.fifo_depth,
-        direct_left: &mut cols.direct_left,
-        awake: &mut cols.awake,
-        income_power: &mut cols.income_power,
-        balance_credit: &mut cols.balance_credit,
-        cold: &mut cols.cold,
-        ledgers,
-        direct_eff: cols.direct_eff,
-        discharge_eff: cols.discharge_eff,
-    }
-}
-
 /// Positions per shard for `n_pos` positions on `threads` workers
 /// (ceiling division; the last shard may be short).
 pub(crate) fn pos_per_shard(n_pos: usize, threads: usize) -> usize {
     n_pos.div_ceil(threads.max(1)).max(1)
 }
 
-/// Iterator yielding position-aligned [`ColumnsShard`]s, carving the
-/// column slices with `split_at_mut` — no allocation per shard.
+/// Iterator yielding one position-aligned [`ColumnsShard`] per shard
+/// scratch, with its [`ShardWork`] and [`ShardSink`], carving every
+/// slice with `split_at_mut` — no allocation per shard.
 pub(crate) struct ShardIter<'a> {
     base: usize,
     pos_base: usize,
@@ -176,6 +217,7 @@ pub(crate) struct ShardIter<'a> {
     pos_per_shard: usize,
     direct_eff: f64,
     discharge_eff: f64,
+    record: bool,
     cap: &'a mut [SuperCap],
     rtc: &'a mut [Rtc],
     schedule: &'a [SlotSchedule],
@@ -188,25 +230,30 @@ pub(crate) struct ShardIter<'a> {
     balance_credit: &'a mut [Energy],
     cold: &'a mut [NodeCold],
     ledgers: &'a mut [EnergyLedger],
+    forward: &'a mut [u64],
+    rows: &'a mut [NodeMetrics],
+    scratches: std::slice::IterMut<'a, ShardScratch>,
 }
 
 impl<'a> ShardIter<'a> {
-    /// Shards `cols` (and the matching ledger slice) into runs of
-    /// `pos_per_shard` logical positions, `pos_per_shard × multiplex`
-    /// physical nodes.
+    /// Shards `cols`, the slot context's per-node ledgers and
+    /// per-position relay marks, and the metrics `rows` into the
+    /// context's warmed shard geometry; sinks record events when
+    /// `record` is set.
     pub(crate) fn new(
         cols: &'a mut NodeColumns,
-        ledgers: &'a mut [EnergyLedger],
-        pos_per_shard: usize,
-        multiplex: usize,
+        ctx: &'a mut SlotCtx,
+        rows: &'a mut [NodeMetrics],
+        record: bool,
     ) -> ShardIter<'a> {
         ShardIter {
             base: 0,
             pos_base: 0,
-            nodes_per_shard: pos_per_shard * multiplex.max(1),
-            pos_per_shard,
+            nodes_per_shard: ctx.nodes_per_shard,
+            pos_per_shard: ctx.pos_per_shard,
             direct_eff: cols.direct_eff,
             discharge_eff: cols.discharge_eff,
+            record,
             cap: &mut cols.cap,
             rtc: &mut cols.rtc,
             schedule: &cols.schedule,
@@ -218,13 +265,17 @@ impl<'a> ShardIter<'a> {
             income_power: &mut cols.income_power,
             balance_credit: &mut cols.balance_credit,
             cold: &mut cols.cold,
-            ledgers,
+            ledgers: &mut ctx.ledgers,
+            forward: &mut ctx.forward_bytes,
+            rows,
+            scratches: ctx.shards.iter_mut(),
         }
     }
 }
 
 /// Splits the head `take` elements off a `&mut` slice field in place.
 fn take_mut<'a, T>(slot: &mut &'a mut [T], take: usize) -> &'a mut [T] {
+    let take = take.min(slot.len());
     let (head, rest) = std::mem::take(slot).split_at_mut(take);
     *slot = rest;
     head
@@ -232,19 +283,21 @@ fn take_mut<'a, T>(slot: &mut &'a mut [T], take: usize) -> &'a mut [T] {
 
 /// Splits the head `take` elements off a shared slice field in place.
 fn take_ref<'a, T>(slot: &mut &'a [T], take: usize) -> &'a [T] {
+    let take = take.min(slot.len());
     let (head, rest) = std::mem::take(slot).split_at(take);
     *slot = rest;
     head
 }
 
 impl<'a> Iterator for ShardIter<'a> {
-    type Item = ColumnsShard<'a>;
+    type Item = (ColumnsShard<'a>, ShardWork<'a>, ShardSink<'a>);
 
-    fn next(&mut self) -> Option<ColumnsShard<'a>> {
+    fn next(&mut self) -> Option<Self::Item> {
         if self.cold.is_empty() {
             return None;
         }
-        let take = self.nodes_per_shard.min(self.cold.len());
+        let scratch = self.scratches.next()?;
+        let take = self.nodes_per_shard;
         let shard = ColumnsShard {
             base: self.base,
             pos_base: self.pos_base,
@@ -263,65 +316,71 @@ impl<'a> Iterator for ShardIter<'a> {
             direct_eff: self.direct_eff,
             discharge_eff: self.discharge_eff,
         };
-        self.base += take;
+        let ShardScratch {
+            events,
+            spill,
+            pkg,
+            fold_total,
+        } = scratch;
+        let work = ShardWork {
+            pkg,
+            forward: take_mut(&mut self.forward, self.pos_per_shard),
+            fold_total,
+        };
+        let sink = ShardSink {
+            base: self.base,
+            rows: take_mut(&mut self.rows, take),
+            spill,
+            events: self.record.then_some(events),
+        };
+        self.base += shard.len();
         self.pos_base += self.pos_per_shard;
-        Some(shard)
+        Some((shard, work, sink))
     }
 }
 
 /// A phase sweep runnable on one shard: the body of the serial loop,
-/// parameterized over the event sink so the serial path emits straight
-/// to the bus and the sharded path records into the shard buffer.
+/// writing counters and events through the shard's sink.
 pub(crate) trait Sweep: Sync {
-    /// Sweeps one shard, emitting events in ascending node order.
-    fn sweep<E: FnMut(SimEvent)>(
+    /// Sweeps one shard, emitting in ascending node order.
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        pkg: &mut Vec<Package>,
-        emit: E,
+        work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     );
 }
 
-/// Runs `sweep` over the whole fleet: inline on the serial path
-/// (`threads <= 1`), or forked across position-aligned shards with the
-/// per-shard event buffers spliced back in shard order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<S: Sweep>(
-    cols: &mut NodeColumns,
-    ledgers: &mut [EnergyLedger],
-    scratches: &mut [ShardScratch],
-    threads: usize,
-    n_pos: usize,
-    multiplex: usize,
-    bus: &mut EventBus<'_>,
-    sweep: &S,
-) {
-    let shards = threads.min(n_pos).max(1);
-    if shards <= 1 {
-        let mut shard = full(cols, ledgers);
-        let pkg = &mut scratches[0].pkg;
-        sweep.sweep(&mut shard, pkg, |e| bus.emit(&e));
-        return;
-    }
-    let per = pos_per_shard(n_pos, shards);
+/// Runs `sweep` over the whole fleet — one shard per warmed shard
+/// scratch, the first inline on the calling thread (so the serial
+/// path never spawns) — then [`settle`]s the shards.
+pub(crate) fn drive<S: Sweep>(parts: &mut SimParts<'_>, ctx: &mut SlotCtx, sweep: &S) {
+    let record = !parts.observers.is_empty();
     fork_join(
-        ShardIter::new(cols, ledgers, per, multiplex)
-            .zip(scratches.iter_mut())
-            .map(|(mut shard, scratch)| {
-                let ShardScratch { events, pkg, .. } = scratch;
-                move || sweep.sweep(&mut shard, pkg, |e| events.push(e))
-            }),
+        ShardIter::new(parts.nodes, ctx, &mut parts.metrics.nodes, record).map(
+            |(mut shard, mut work, mut sink)| move || sweep.sweep(&mut shard, &mut work, &mut sink),
+        ),
     );
-    splice(scratches, bus);
+    settle(&mut ctx.shards, parts.metrics, parts.observers);
 }
 
-/// Replays (and clears) the per-shard event buffers in ascending shard
-/// order — the spliced stream equals the serial emission sequence.
-pub(crate) fn splice(scratches: &mut [ShardScratch], bus: &mut EventBus<'_>) {
+/// After the join: applies each shard's cross-shard spill to its
+/// counter rows, then replays (and clears) the recorded events in
+/// ascending shard order — the replayed stream equals the serial
+/// emission sequence.
+pub(crate) fn settle(
+    scratches: &mut [ShardScratch],
+    metrics: &mut NetworkMetrics,
+    observers: &mut Observers,
+) {
     for scratch in scratches {
-        for event in &scratch.events {
-            bus.emit(event);
+        for event in scratch.spill.drain(..) {
+            if let Some(row) = event.counter_row().and_then(|n| metrics.nodes.get_mut(n)) {
+                fold_node(row, &event);
+            }
         }
-        scratch.events.clear();
+        for event in scratch.events.drain(..) {
+            observers.on_event(&event);
+        }
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! Unspent direct income charges the capacitor (overflow is rejected),
 //! capacitors self-discharge, volatile nodes lose their queues at
-//! power-down, and each node's conservation ledger settles into a
-//! [`SimEvent::LedgerSettled`] event for the observers to audit.
+//! power-down, the Figure-9 stored-energy series takes its per-slot
+//! sample (when `trace_stored` is set), and each node's conservation
+//! ledger settles into a [`SimEvent::LedgerSettled`] event for the
+//! observers to audit.
 //!
 //! The sweep zips the capacitor, direct-pool and FIFO-depth columns
 //! against the cold rows; the metered capacitor accessors
@@ -14,24 +16,26 @@
 //! whole phase shards cleanly.
 
 use super::columns;
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
-use super::Simulator;
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::SimParts;
 use neofog_types::{Duration, Energy};
 
 /// The per-slot scalars the slot-end sweep closes over.
 struct SlotEndSweep {
     slot_len: Duration,
     retains_state: bool,
+    /// Sample the Figure-9 stored-energy series (`cfg.trace_stored`).
+    trace_stored: bool,
 }
 
 impl Sweep for SlotEndSweep {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
+        _work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let ColumnsShard {
             base,
@@ -57,7 +61,7 @@ impl Sweep for SlotEndSweep {
             if leftover > Energy::ZERO {
                 let receipt = cap.charge_metered(leftover);
                 ledger.debit_loss(leftover.saturating_sub(receipt.banked));
-                emit(SimEvent::CapacitorOverflow {
+                sink.emit(SimEvent::CapacitorOverflow {
                     node,
                     rejected: receipt.rejected,
                 });
@@ -68,7 +72,7 @@ impl Sweep for SlotEndSweep {
                 // Volatile node: queues evaporate at power-down.
                 let lost = (cold.pending.len() + cold.outbox.len()) as u64;
                 if lost > 0 {
-                    emit(SimEvent::PackageShed {
+                    sink.emit(SimEvent::PackageShed {
                         node,
                         count: lost,
                         reason: ShedReason::Volatile,
@@ -78,32 +82,27 @@ impl Sweep for SlotEndSweep {
                 cold.outbox.clear();
                 *fifo_depth = 0;
             }
-            emit(SimEvent::CapacitorLeaked {
+            let stored = cap.stored();
+            if self.trace_stored {
+                sink.sample_stored(node, stored);
+            }
+            sink.emit(SimEvent::CapacitorLeaked {
                 node,
                 leaked,
-                stored: cap.stored(),
+                stored,
             });
-            if let Some(settled) = ledger.settlement(node, cap.stored()) {
-                emit(settled);
+            if let Some(settled) = ledger.settlement(node, stored) {
+                sink.emit(settled);
             }
         }
     }
 }
 
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
     let sweep = SlotEndSweep {
         slot_len: parts.cfg.slot_len,
         retains_state: parts.cfg.system.retains_state(),
+        trace_stored: parts.cfg.trace_stored,
     };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        parts.cfg.positions,
-        parts.cfg.multiplex as usize,
-        &mut bus,
-        &sweep,
-    );
+    drive(parts, ctx, &sweep);
 }

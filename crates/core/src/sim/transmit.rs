@@ -21,36 +21,37 @@
 //!
 //! # Sharding
 //!
-//! The phase runs in three rounds when `threads > 1`:
+//! The phase runs as two shard sweeps around a coordinator fold — the
+//! serial path is the same sequence over one full-range shard:
 //!
 //! 1. **Send** — per-shard sweep. The `forward_bytes[position]` marks
 //!    are the only per-position writes, and shard boundaries are
 //!    position-aligned, so each shard owns a disjoint
-//!    `forward_bytes` segment (`chunks_mut`). Each shard also totals
-//!    its segment into [`ShardScratch::fold_total`] for round 2.
+//!    `forward_bytes` segment ([`ShardWork::forward`]). Each shard
+//!    also totals its segment into its `fold_total`.
 //! 2. **Fold** — on a chain, the suffix-sum distributes: shard `k`'s
 //!    duties equal its local reverse suffix-sum plus a carry (the
 //!    total bytes sourced by shards `k+1..`), so the coordinator
 //!    combines the per-shard totals in fixed (descending-shard) order
 //!    into carries — `u64` addition is associative and exact, so the
-//!    duties are bit-identical to the serial sweep — and the apply
-//!    pass forks again. Non-chain topologies keep the serial
-//!    O(positions) route-plan fold: it is not the bottleneck and its
-//!    child-order would need per-shard O(positions) scratch to split.
+//!    duties are bit-identical to a single serial suffix-sum — and
+//!    each shard applies its own suffix-sum at the top of round 3.
+//!    Non-chain topologies keep the serial O(positions) route-plan
+//!    fold: it is not the bottleneck and its child order would need
+//!    per-shard O(positions) scratch to split.
 //! 3. **Relay duty** — per-shard sweep over positions; each
 //!    position's awake representative lives in the shard that owns
 //!    the position, so the charge writes stay shard-local.
 //!
-//! Events are spliced after round 1 and again after round 3, which
-//! reproduces the serial sequence: all session/packet events in node
-//! order, then all relay charges in position order.
+//! Recorded events are replayed after round 1 and again after round 3,
+//! which reproduces the serial sequence: all session/packet events in
+//! node order, then all relay charges in position order.
 
-use super::ctx::{Package, SlotCtx};
+use super::ctx::SlotCtx;
 use super::event::{RadioPurpose, SimEvent};
-use super::shard::{full, pos_per_shard, splice, ColumnsShard, ShardIter, ShardScratch};
-use super::Simulator;
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::SimParts;
 use crate::node::RadioControl;
-use crate::runner::fork::fork_join;
 use neofog_rf::{LossModel, RfTimings};
 use neofog_types::{Duration, Energy};
 
@@ -62,16 +63,21 @@ struct SendSweep<'a> {
     loss: &'a LossModel,
 }
 
-impl SendSweep<'_> {
+impl Sweep for SendSweep<'_> {
     /// Ships every awake node's outbox, marking relay bytes into the
-    /// shard's `forward_bytes` segment (`fwd[position - pos_base]`).
-    fn sweep<E: FnMut(SimEvent)>(
+    /// shard's `forward_bytes` segment (`forward[position - pos_base]`)
+    /// and totalling the segment for the chain fold.
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        pkg: &mut Vec<Package>,
-        fwd: &mut [u64],
-        mut emit: E,
+        work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
+        let ShardWork {
+            pkg,
+            forward,
+            fold_total,
+        } = work;
         for local in 0..shard.len() {
             if !shard.awake[local] {
                 continue;
@@ -108,7 +114,7 @@ impl SendSweep<'_> {
             if !view.spend(ledger, self.session) {
                 continue;
             }
-            emit(SimEvent::RadioCharged {
+            sink.emit(SimEvent::RadioCharged {
                 node,
                 energy: self.session,
                 purpose: RadioPurpose::Session,
@@ -124,7 +130,7 @@ impl SendSweep<'_> {
                 if !view.spend(ledger, cost) {
                     break;
                 }
-                emit(SimEvent::RadioCharged {
+                sink.emit(SimEvent::RadioCharged {
                     node,
                     energy: cost,
                     purpose: RadioPurpose::Packet,
@@ -139,59 +145,83 @@ impl SendSweep<'_> {
                 // Relay duty: mark the bytes at the source position;
                 // the route fold below credits them to every position
                 // on the path to the sink.
-                fwd[local_pos] += u64::from(bytes);
+                forward[local_pos] += u64::from(bytes);
                 let origin = pkg.origin;
                 if delivered {
-                    emit(SimEvent::PackageDelivered {
+                    sink.emit(SimEvent::PackageDelivered {
                         origin,
                         fog_done: pkg.fog_done,
                     });
                 } else {
-                    emit(SimEvent::PackageLost { origin });
+                    sink.emit(SimEvent::PackageLost { origin });
                 }
+            }
+        }
+        **fold_total = forward.iter().sum();
+    }
+}
+
+/// The relay-duty sweep: turns the shard's relay marks into duty
+/// bytes (chains only — other topologies were folded by the
+/// coordinator) and charges each relay position's awake
+/// representative its forwarding airtime (RX + TX per byte).
+struct DutySweep<'a> {
+    positions: &'a [Vec<usize>],
+    rf: &'a RfTimings,
+    /// The marks still hold per-source bytes and `fold_total` the
+    /// shard's carry-in: apply the chain's local suffix-sum first.
+    chain_fold: bool,
+}
+
+impl Sweep for DutySweep<'_> {
+    fn sweep(
+        &self,
+        shard: &mut ColumnsShard<'_>,
+        work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
+    ) {
+        if self.chain_fold {
+            let mut running = *work.fold_total;
+            for slot in work.forward.iter_mut().rev() {
+                let sourced = *slot;
+                *slot = running;
+                running += sourced;
+            }
+        }
+        let rf = self.rf;
+        let per_byte = rf.active_power * Duration::from_micros(2 * rf.on_air_per_byte_us);
+        for (local_pos, &bytes) in work.forward.iter().enumerate() {
+            if bytes == 0 {
+                continue;
+            }
+            let awake = &*shard.awake;
+            let base = shard.base;
+            let Some(rep) = self
+                .positions
+                .get(shard.pos_base + local_pos)
+                .and_then(|phys| {
+                    phys.iter()
+                        .copied()
+                        .find(|&i| awake.get(i - base).copied().unwrap_or(false))
+                })
+            else {
+                continue;
+            };
+            let duty = per_byte * bytes as f64;
+            let local = rep - shard.base;
+            let (mut view, ledger) = shard.view_ledger(local);
+            if view.spend(ledger, duty) {
+                sink.emit(SimEvent::RadioCharged {
+                    node: rep,
+                    energy: duty,
+                    purpose: RadioPurpose::Relay,
+                });
             }
         }
     }
 }
 
-/// Charges forwarding airtime (RX + TX per byte) to each relay
-/// position's awake representative, scanning the shard's
-/// `forward_bytes` segment.
-fn duty_sweep<E: FnMut(SimEvent)>(
-    shard: &mut ColumnsShard<'_>,
-    fwd: &[u64],
-    positions: &[Vec<usize>],
-    rf: &RfTimings,
-    mut emit: E,
-) {
-    let per_byte = rf.active_power * Duration::from_micros(2 * rf.on_air_per_byte_us);
-    for (local_pos, &bytes) in fwd.iter().enumerate() {
-        if bytes == 0 {
-            continue;
-        }
-        let pos = shard.pos_base + local_pos;
-        let Some(rep) = positions[pos]
-            .iter()
-            .copied()
-            .find(|&i| shard.awake[i - shard.base])
-        else {
-            continue;
-        };
-        let duty = per_byte * bytes as f64;
-        let local = rep - shard.base;
-        let (mut view, ledger) = shard.view_ledger(local);
-        if view.spend(ledger, duty) {
-            emit(SimEvent::RadioCharged {
-                node: rep,
-                energy: duty,
-                purpose: RadioPurpose::Relay,
-            });
-        }
-    }
-}
-
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
     let radio = parts.cfg.node.radio;
     let send = SendSweep {
         radio,
@@ -199,107 +229,32 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         rf: parts.rf,
         loss: parts.loss,
     };
-    let n_pos = parts.positions.len();
-    // Per-position relay marks this slot, folded into duty below
-    // (scratch vector: capacity persists across slots).
-    ctx.forward_bytes.resize(n_pos, 0);
-
-    let shards = parts.threads.min(n_pos).max(1);
-    if shards <= 1 {
-        // Serial path: one full-range shard, events straight to the bus.
-        let mut shard = full(parts.nodes, &mut ctx.ledgers);
-        let pkg = &mut ctx.shards[0].pkg;
-        send.sweep(&mut shard, pkg, &mut ctx.forward_bytes, |e| bus.emit(&e));
-
-        // Fold the per-source marks into per-position relay duty with
-        // one pass over the route plan's decreasing-hop order (children
-        // before parents): a position's duty is the byte total sourced
-        // at the positions routing through it. On a chain this
-        // degenerates to the reverse suffix-sum this pass replaced —
-        // same additions, same order, bit-identical duties.
-        ctx.route_acc.resize(n_pos, 0);
-        for &v in parts.route.order() {
-            let v = v as usize;
-            let sourced = ctx.forward_bytes[v];
-            let inherited = ctx.route_acc[v];
-            ctx.forward_bytes[v] = inherited;
-            if let Some(parent) = parts.route.next_hop(v) {
-                ctx.route_acc[parent] += inherited + sourced;
-            }
-        }
-
-        duty_sweep(
-            &mut shard,
-            &ctx.forward_bytes,
-            parts.positions,
-            parts.rf,
-            |e| {
-                bus.emit(&e);
-            },
-        );
-        return;
-    }
-
-    let per = pos_per_shard(n_pos, shards);
-    let multiplex = parts.cfg.multiplex as usize;
-
-    // Round 1: per-shard send sweeps over disjoint forward segments,
-    // each totalling its segment for the fold.
-    fork_join(
-        ShardIter::new(parts.nodes, &mut ctx.ledgers, per, multiplex)
-            .zip(ctx.shards.iter_mut())
-            .zip(ctx.forward_bytes.chunks_mut(per))
-            .map(|((mut shard, scratch), fwd)| {
-                let ShardScratch {
-                    events,
-                    pkg,
-                    fold_total,
-                } = scratch;
-                let send = &send;
-                move || {
-                    send.sweep(&mut shard, pkg, fwd, |e| events.push(e));
-                    *fold_total = fwd.iter().sum();
-                }
-            }),
-    );
-    splice(&mut ctx.shards, &mut bus);
+    // Round 1: ship outboxes, marking relay bytes per source position
+    // into `ctx.forward_bytes` (zeroed to one entry per position by
+    // the slot reset).
+    drive(parts, ctx, &send);
 
     // Round 2: the relay fold.
-    if parts.cfg.topology.is_chain() {
+    let chain_fold = parts.cfg.topology.is_chain();
+    if chain_fold {
         // The chain suffix-sum distributes over position segments:
         // shard k's duty is its local reverse suffix-sum plus the
         // carry — everything sourced downstream (shards k+1..). The
         // carries are combined here in fixed descending-shard order;
-        // u64 addition is exact, so this matches the serial fold bit
-        // for bit.
+        // u64 addition is exact, so the duties match a single serial
+        // suffix-sum bit for bit.
         let mut carry = 0u64;
         for scratch in ctx.shards.iter_mut().rev() {
             let total = scratch.fold_total;
             scratch.fold_total = carry; // becomes the shard's carry-in
             carry += total;
         }
-        fork_join(
-            ctx.forward_bytes
-                .chunks_mut(per)
-                .zip(ctx.shards.iter())
-                .map(|(fwd, scratch)| {
-                    let carry = scratch.fold_total;
-                    move || {
-                        let mut running = carry;
-                        for slot in fwd.iter_mut().rev() {
-                            let sourced = *slot;
-                            *slot = running;
-                            running += sourced;
-                        }
-                    }
-                }),
-        );
     } else {
-        // General topologies keep the serial O(positions) route-plan
-        // fold: child order is topology-dependent, so splitting it
-        // would need per-shard O(positions) accumulators for no
-        // measurable win (the per-node sweeps dominate).
-        ctx.route_acc.resize(n_pos, 0);
+        // General topologies: one pass over the route plan's
+        // decreasing-hop order (children before parents) — a
+        // position's duty is the byte total sourced at the positions
+        // routing through it.
+        ctx.route_acc.resize(ctx.forward_bytes.len(), 0);
         for &v in parts.route.order() {
             let v = v as usize;
             let sourced = ctx.forward_bytes[v];
@@ -313,16 +268,10 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
 
     // Round 3: per-shard relay-duty charges (each position's
     // representative lives inside the shard owning the position).
-    fork_join(
-        ShardIter::new(parts.nodes, &mut ctx.ledgers, per, multiplex)
-            .zip(ctx.shards.iter_mut())
-            .zip(ctx.forward_bytes.chunks(per))
-            .map(|((mut shard, scratch), fwd)| {
-                let events = &mut scratch.events;
-                let positions = parts.positions;
-                let rf = parts.rf;
-                move || duty_sweep(&mut shard, fwd, positions, rf, |e| events.push(e))
-            }),
-    );
-    splice(&mut ctx.shards, &mut bus);
+    let duty = DutySweep {
+        positions: parts.positions,
+        rf: parts.rf,
+        chain_fold,
+    };
+    drive(parts, ctx, &duty);
 }

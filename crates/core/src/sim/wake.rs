@@ -17,8 +17,8 @@
 use super::columns;
 use super::ctx::{Package, SlotCtx, MAX_PENDING};
 use super::event::{ShedReason, SimEvent};
-use super::shard::{drive, ColumnsShard, Sweep};
-use super::Simulator;
+use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
+use super::SimParts;
 use crate::node::SystemKind;
 
 /// The per-slot scalars the wake sweep closes over.
@@ -30,11 +30,11 @@ struct WakeSweep {
 }
 
 impl Sweep for WakeSweep {
-    fn sweep<E: FnMut(SimEvent)>(
+    fn sweep(
         &self,
         shard: &mut ColumnsShard<'_>,
-        _pkg: &mut Vec<Package>,
-        mut emit: E,
+        _work: &mut ShardWork<'_>,
+        sink: &mut ShardSink<'_>,
     ) {
         let ColumnsShard {
             base,
@@ -81,12 +81,12 @@ impl Sweep for WakeSweep {
                     self.system.wake_cost(),
                 );
                 *awake = true;
-                emit(SimEvent::NodeWoke { node });
+                sink.emit(SimEvent::NodeWoke { node });
                 // Capture one package (rain can spoil the sample).
                 if !cold.rng.chance(self.sampling_success) {
                     continue;
                 }
-                emit(SimEvent::PackageCaptured { node });
+                sink.emit(SimEvent::PackageCaptured { node });
                 let pkg = Package {
                     origin: node,
                     created: self.slot,
@@ -102,7 +102,7 @@ impl Sweep for WakeSweep {
                         cold.pending.push(pkg);
                         *fifo_depth += 1;
                     } else {
-                        emit(SimEvent::PackageShed {
+                        sink.emit(SimEvent::PackageShed {
                             node,
                             count: 1,
                             reason: ShedReason::BufferFull,
@@ -112,14 +112,13 @@ impl Sweep for WakeSweep {
                     cold.outbox.push(pkg);
                 }
             } else {
-                emit(SimEvent::WakeFailed { node });
+                sink.emit(SimEvent::WakeFailed { node });
             }
         }
     }
 }
 
-pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
-    let (parts, mut bus) = sim.split();
+pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
     let system = parts.cfg.system;
     let sweep = WakeSweep {
         slot: ctx.slot,
@@ -127,14 +126,5 @@ pub(super) fn run(sim: &mut Simulator, ctx: &mut SlotCtx) {
         sampling_success: parts.cfg.sampling_success,
         fog_capable: system.is_fog_capable(),
     };
-    drive(
-        parts.nodes,
-        &mut ctx.ledgers,
-        &mut ctx.shards,
-        parts.threads,
-        parts.cfg.positions,
-        parts.cfg.multiplex as usize,
-        &mut bus,
-        &sweep,
-    );
+    drive(parts, ctx, &sweep);
 }

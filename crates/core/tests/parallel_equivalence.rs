@@ -8,10 +8,12 @@
 //! exact `u64` suffix-sum decomposition. This file checks the claim
 //! empirically: a fixed matrix of topology × multiplex × thread-count
 //! cases, plus a proptest sweeping random fleets, topologies and shard
-//! counts 1..=16.
+//! counts 1..=16. The counters are compared on the default path too —
+//! no event log, no observer — where the shards record no events and
+//! the kernel's sinks are the only writers of `SimResult::metrics`.
 
 use neofog_core::sim::{BalancerKind, SimConfig, Simulator};
-use neofog_core::SystemKind;
+use neofog_core::{NetworkMetrics, SystemKind};
 use neofog_energy::Scenario;
 use neofog_net::TopologySpec;
 use proptest::prelude::*;
@@ -95,6 +97,47 @@ fn tiered_threaded_matches_serial() {
     cfg.topology = TopologySpec::Tiered { gateways: 2 };
     cfg.balancer = BalancerKind::Offload;
     assert_equivalent(&cfg, 40, "tiered", &[2, 4, 16]);
+}
+
+/// Runs `cfg` over its whole window at `threads` workers with no event
+/// log and no observer attached, returning the kernel's counters.
+fn unobserved_metrics(mut cfg: SimConfig, threads: usize) -> NetworkMetrics {
+    cfg.threads = threads;
+    cfg.events_path = None;
+    Simulator::new(cfg).expect("valid config").run().metrics
+}
+
+#[test]
+fn unobserved_metrics_match_serial_at_every_thread_count() {
+    let mut mesh = base_cfg(SystemKind::FiosNeoFog, 12, 1, 7);
+    mesh.topology = TopologySpec::ErdosRenyi {
+        edge_prob: 0.3,
+        seed: 7,
+    };
+    mesh.balancer = BalancerKind::Offload;
+    let mut tiered = base_cfg(SystemKind::FiosNeoFog, 12, 1, 9);
+    tiered.topology = TopologySpec::Tiered { gateways: 2 };
+    tiered.balancer = BalancerKind::Offload;
+    let cases = [
+        ("chain", base_cfg(SystemKind::FiosNeoFog, 10, 1, 1)),
+        (
+            "chain-multiplex3",
+            base_cfg(SystemKind::FiosNeoFog, 12, 3, 5),
+        ),
+        ("mesh-offload", mesh),
+        ("tiered-offload", tiered),
+    ];
+    for (tag, cfg) in cases {
+        let serial = unobserved_metrics(cfg.clone(), 1);
+        assert!(serial.total_wakeups() > 0, "{tag}: nothing happened");
+        for threads in [2, 3, 8, 16] {
+            assert_eq!(
+                serial,
+                unobserved_metrics(cfg.clone(), threads),
+                "{tag}: metrics diverged at threads={threads}"
+            );
+        }
+    }
 }
 
 /// Miri-sized shard check: a fleet small enough for the interpreter,

@@ -5,16 +5,21 @@
 //! and each rule pair guards one of them statically:
 //!
 //! * **Shard isolation** — a sweep body sees one position-aligned
-//!   `ColumnsShard` split slice and emits into its own
-//!   `ShardScratch::events` buffer; `drive()` splices buffers in
-//!   ascending shard order so parallel emission order equals serial
+//!   `ColumnsShard` split slice and writes counters and events through
+//!   its own `ShardSink` (its slice of the metrics rows plus its
+//!   shard's spill and event buffers); the coordinator replays buffers
+//!   in ascending shard order so parallel emission order equals serial
 //!   order. NF-SHARD-001 flags any sweep-reachable function whose
 //!   signature or body names full-fleet state (`NodeColumns`,
-//!   `NodeCold`, `SlotCtx`, ...) — a global-index escape hatch that
-//!   aliases rows another thread owns. NF-SHARD-002 flags direct
-//!   `.emit(..)`/`.on_event(..)` dispatch (or naming `EventBus` /
-//!   `Observers`) downstream of a sweep — events published in thread
-//!   completion order instead of splice order.
+//!   `NodeCold`, `SlotCtx`, `NetworkMetrics`, ...) — a global-index
+//!   escape hatch that aliases rows another thread owns. NF-SHARD-002
+//!   flags direct `.emit(..)`/`.on_event(..)` dispatch (or naming
+//!   `EventBus` / `Observers`) downstream of a sweep — events
+//!   published in thread completion order instead of replay order. A
+//!   dotted call is the sanctioned sink path only when *every*
+//!   workspace method of that name belongs to a shard-local sink type
+//!   ([`rules::SHARD_SINK_TYPES`]); one same-named method anywhere
+//!   else and the call could be bus dispatch, so it is flagged.
 //!
 //! * **Integer cross-shard reductions** — float addition is not
 //!   associative, so any f64 accumulation whose grouping depends on
@@ -34,7 +39,7 @@
 //! Entry selection is *function-shaped*, not file-shaped: only
 //! functions named `sweep`/`*_sweep` in [`rules::SHARD_ENTRY_FILES`]
 //! root the NF-SHARD closure, because the same files also contain the
-//! sanctioned coordinators (`drive`, `splice`, `ColumnsShard::full`)
+//! sanctioned coordinators (`drive`, `settle`, `ShardIter::new`)
 //! that legitimately hold the whole fleet — and no sweep can call back
 //! into them. Like [`crate::reach`], messages omit line numbers (the
 //! baseline stays stable as code drifts) and carry the witness call
@@ -45,7 +50,7 @@ use crate::graph::CallGraph;
 use crate::lexer::{Tok, TokKind};
 use crate::parser::FileModel;
 use crate::rules;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Node ids of sweep-shaped functions in the shard entry files.
@@ -61,10 +66,28 @@ fn sweep_entries(models: &[FileModel], graph: &CallGraph) -> Vec<usize> {
         .collect()
 }
 
+/// Method names implemented only by shard-local sink types: a dotted
+/// call to one of them resolves, under the graph's all-candidates
+/// method linking, to the calling shard's own sink and nowhere else.
+fn sink_only_methods(graph: &CallGraph) -> BTreeSet<&str> {
+    let mut only_sinks: BTreeMap<&str, bool> = BTreeMap::new();
+    for n in &graph.nodes {
+        if let Some(ty) = &n.self_ty {
+            let is_sink = rules::SHARD_SINK_TYPES.contains(&ty.as_str());
+            *only_sinks.entry(n.name.as_str()).or_insert(true) &= is_sink;
+        }
+    }
+    only_sinks
+        .into_iter()
+        .filter_map(|(name, only)| only.then_some(name))
+        .collect()
+}
+
 /// NF-SHARD-001/002: full-fleet state or direct observer dispatch
 /// transitively reachable from a shard sweep.
 pub(crate) fn shard_discipline(models: &[FileModel], graph: &CallGraph) -> Vec<Violation> {
     let reach = graph.reach_forward(&sweep_entries(models, graph));
+    let sink_methods = sink_only_methods(graph);
     let mut out = Vec::new();
     for (id, n) in graph.nodes.iter().enumerate() {
         if !reach.visited(id) {
@@ -114,12 +137,15 @@ pub(crate) fn shard_discipline(models: &[FileModel], graph: &CallGraph) -> Vec<V
                 }
             }
         }
-        // Dotted `.emit(` / `.on_event(` dispatch in the body. The
-        // sweep's own `emit(ev)` closure parameter is a bare call and
-        // never matches — that is the sanctioned scratch-buffer path.
+        // Dotted `.emit(` / `.on_event(` dispatch in the body, unless
+        // the name resolves to shard-local sinks only (`sink.emit(..)`
+        // — the sanctioned path). A bare `emit(ev)` closure call is
+        // not a method and never matches.
         for i in n.body.clone() {
             let Some(tok) = m.toks.get(i) else { break };
-            if tok.kind != TokKind::Ident || !rules::SHARD_EMIT_METHODS.contains(&tok.text.as_str())
+            if tok.kind != TokKind::Ident
+                || !rules::SHARD_EMIT_METHODS.contains(&tok.text.as_str())
+                || sink_methods.contains(tok.text.as_str())
             {
                 continue;
             }
@@ -216,13 +242,22 @@ fn float_accum_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
 
 /// Float comparison sites in `range`: `(line, op)`. Token-shape
 /// exclusions keep generics, shifts, arrows and turbofish out:
-/// `<` after `:` or an uppercase-led identifier is a type argument
-/// list, adjacent `<<`/`>>` are shifts, `->`/`=>` are arrows.
+/// `<` after `:` or an uppercase-led identifier opens a type argument
+/// list, and while one is open each `>` closes it — so the `>` of
+/// `Vec<f64> = …` is a generic close, not `>=`. Adjacent `<<`/`>>`
+/// outside a type argument list are shifts, `->`/`=>` are arrows. The
+/// open-list depth resets at every statement or block boundary, so a
+/// misread `<` cannot swallow comparisons beyond its own statement.
 fn float_cmp_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
     let mut hits: BTreeSet<(u32, String)> = BTreeSet::new();
+    let mut generic_depth = 0usize;
     for i in range.clone() {
         let Some(tok) = toks.get(i) else { break };
         if tok.kind != TokKind::Punct {
+            continue;
+        }
+        if tok.is_punct(';') || tok.is_punct('{') || tok.is_punct('}') {
+            generic_depth = 0;
             continue;
         }
         let prev = i.checked_sub(1).and_then(|p| toks.get(p));
@@ -244,12 +279,19 @@ fn float_cmp_sites(toks: &[Tok], range: Range<usize>) -> Vec<(u32, String)> {
                     || (p.kind == TokKind::Ident
                         && p.text.starts_with(|c: char| c.is_ascii_uppercase()))
             }) || next.is_some_and(|t| t.kind == TokKind::Lifetime);
+            if generic && !shift {
+                generic_depth += 1;
+            }
             (!shift && !generic).then(|| if next_eq { "<=".into() } else { "<".into() })
         } else if tok.is_punct('>') {
+            let arrow = prev.is_some_and(|p| p.is_punct('-') || p.is_punct('='));
+            let generic_close =
+                !arrow && (generic_depth > 0 || prev.is_some_and(|p| p.kind == TokKind::Lifetime));
+            if generic_close {
+                generic_depth = generic_depth.saturating_sub(1);
+            }
             let shift =
                 prev.is_some_and(|p| p.is_punct('>')) || next.is_some_and(|t| t.is_punct('>'));
-            let arrow = prev.is_some_and(|p| p.is_punct('-') || p.is_punct('='));
-            let generic_close = prev.is_some_and(|p| p.kind == TokKind::Lifetime);
             (!shift && !arrow && !generic_close).then(|| {
                 if next_eq {
                     ">=".into()
@@ -326,4 +368,36 @@ pub(crate) fn float_discipline(models: &[FileModel], graph: &CallGraph) -> Vec<V
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::tokenize;
+
+    fn cmp_ops(source: &str) -> Vec<String> {
+        let toks = tokenize(source);
+        float_cmp_sites(&toks, 0..toks.len())
+            .into_iter()
+            .map(|(_, op)| op)
+            .collect()
+    }
+
+    #[test]
+    fn generic_close_before_assignment_is_not_a_comparison() {
+        assert!(cmp_ops("let v: Vec<f64> = Vec::new();").is_empty());
+        assert!(cmp_ops("let v: Vec<Option<f64>> = Vec::new();").is_empty());
+        assert!(cmp_ops("let t = x.collect::<Vec<f64>>();").is_empty());
+        assert!(cmp_ops("let f: Box<dyn Fn(f64) -> f64> = g;").is_empty());
+    }
+
+    #[test]
+    fn real_comparisons_still_fire_around_generics() {
+        assert_eq!(cmp_ops("let v: Vec<f64> = w; if a >= 1.0 {}"), [">="]);
+        assert_eq!(
+            cmp_ops("let ok = Vec::<f64>::new().len() as f64 > 0.5;"),
+            [">"]
+        );
+        assert_eq!(cmp_ops("if x < 1.0 { y }"), ["<"]);
+    }
 }

@@ -229,12 +229,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "NF-SHARD-002",
         summary: "event bus reached from a shard sweep, bypassing the splice",
-        rationale: "sweeps must emit through the per-shard ShardScratch event \
-                    buffer so drive() can splice buffers in ascending shard \
+        rationale: "sweeps must emit through their shard's ShardSink, whose \
+                    event buffer the coordinator replays in ascending shard \
                     order — the step that makes parallel emission order equal \
-                    serial order; a direct bus.emit/on_event call from a \
-                    sweep-reachable function publishes events in thread \
-                    completion order instead",
+                    serial order; a direct emit/on_event call on anything but \
+                    a shard sink from a sweep-reachable function publishes \
+                    events in thread completion order instead",
         scope: Scope::Library,
     },
     Rule {
@@ -583,7 +583,7 @@ pub const NV_COMMIT_MARKERS: &[&str] = &["commit", "checkpoint", "restore", "led
 /// Files that may contain shard sweeps: the six phase modules, the
 /// shard layer itself and the fork-join primitive. Only the
 /// *sweep-shaped* functions in them (named `sweep` or `*_sweep`) are
-/// NF-SHARD entry roots — `drive`, `splice` and `ColumnsShard::full`
+/// NF-SHARD entry roots — `drive`, `settle` and `ShardIter::new`
 /// are sanctioned coordinators that legitimately name the full-fleet
 /// types, and no sweep can call back into them.
 pub const SHARD_ENTRY_FILES: &[&str] = &[
@@ -613,13 +613,19 @@ pub const SHARD_GLOBAL_STATE_IDENTS: &[&str] = &[
     "SlotCtx",
     "Simulator",
     "SimParts",
+    "NetworkMetrics",
 ];
 
 /// Method names whose dotted call from a sweep-reachable function is a
-/// direct observer dispatch (NF-SHARD-002). Bare `emit(..)` is the
-/// sweep's own scratch-buffer closure parameter and stays sanctioned —
-/// it is not a method, so it never links to `EventBus::emit`.
+/// direct observer dispatch (NF-SHARD-002) — unless every workspace
+/// method of that name belongs to a [`SHARD_SINK_TYPES`] type.
 pub const SHARD_EMIT_METHODS: &[&str] = &["emit", "on_event"];
+
+/// Shard-local sink types: each instance owns one shard's slice of the
+/// metrics rows and that shard's spill and event buffers, so a sweep
+/// writing through one touches nothing another thread owns and
+/// publishes nothing before the coordinator's ordered replay.
+pub const SHARD_SINK_TYPES: &[&str] = &["ShardSink"];
 
 /// Bus/observer types banned from sweep-reachable signatures and
 /// bodies by NF-SHARD-002.
@@ -627,7 +633,7 @@ pub const SHARD_BUS_IDENTS: &[&str] = &["EventBus", "Observers"];
 
 /// Files whose *every* function roots the NF-FLOAT reachability scan,
 /// in addition to the sweep-shaped entries of [`SHARD_ENTRY_FILES`]:
-/// the shard driver (parallel arm + splice), the fork-join layer, and
+/// the shard driver (fork + ordered replay), the fork-join layer, and
 /// the transmit module that owns the cross-shard suffix-sum/carry
 /// pass.
 pub const FLOAT_ENTRY_FILES: &[&str] = &[

@@ -646,6 +646,40 @@ fn shard_rules_are_quiet_for_view_local_sweeps_and_unreached_helpers() {
 }
 
 #[test]
+fn shard_sink_emit_is_sanctioned_only_while_no_other_type_shares_the_name() {
+    // Sink-only `emit`: the dotted call resolves to the shard's own
+    // sink and nowhere else.
+    let report = lint_sources(&[(
+        "crates/core/src/sim/harvest.rs",
+        include_str!("fixtures/shard_sink.rs"),
+    )]);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    // A second type with an `emit` method anywhere in the workspace:
+    // the call could now dispatch there, so it is flagged again.
+    let report = lint_sources(&[
+        (
+            "crates/core/src/sim/harvest.rs",
+            include_str!("fixtures/shard_sink.rs"),
+        ),
+        (
+            "crates/core/src/sim/tap.rs",
+            "pub struct Tap;\n\nimpl Tap {\n    pub fn emit(&mut self, _value: u64) {}\n}\n",
+        ),
+    ]);
+    let hits: Vec<(&str, &str, u32)> = report
+        .violations
+        .iter()
+        .map(|v| (v.rule, v.path.as_str(), v.line))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![("NF-SHARD-002", "crates/core/src/sim/harvest.rs", 16)],
+        "{:?}",
+        report.violations
+    );
+}
+
+#[test]
 fn float_rules_fire_through_a_depth_2_chain_from_the_carry_pass() {
     // transmit-module function (every fn there roots the scan) ->
     // helper with an evidenced `+=`, a float branch and a `.fold()`.
@@ -733,11 +767,29 @@ fn nv_rule_is_quiet_when_every_path_is_commit_disciplined() {
 }
 
 #[test]
-fn scratch_turbofish_float_generic_fp_check() {
+fn float_generic_close_fixture_reports_only_its_allocations() {
+    // `let v: Vec<f64> = …` closes a type argument list right before
+    // `=`; the old token-shape check read that as `>=` and, with `f64`
+    // as float evidence, reported a phantom NF-FLOAT-002. The fixture's
+    // only findings are its two genuine hot-path allocations.
     let report = lint_sources(&[(
         "crates/core/src/sim/transmit.rs",
-        "pub fn run(parts: &[u64]) -> u64 {\n    let v: Vec<f64> = Vec::new();\n    let t = parts.iter().copied().map(|x| x as u64).collect::<Vec<u64>>();\n    v.len() as u64 + t.len() as u64\n}\n",
+        include_str!("fixtures/float_generic.rs"),
     )]);
     let hits: Vec<(&str, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
-    assert_eq!(hits, Vec::<(&str, u32)>::new(), "{:?}", report.violations);
+    assert_eq!(
+        hits,
+        vec![("NF-ALLOC-001", 2), ("NF-ALLOC-001", 3)],
+        "{:?}",
+        report.violations
+    );
+}
+
+#[test]
+fn float_rules_are_quiet_for_generic_closes() {
+    let report = lint_sources(&[(
+        "crates/core/src/sim/transmit.rs",
+        include_str!("fixtures/float_generic_clean.rs"),
+    )]);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
 }
