@@ -8,15 +8,18 @@
 //! shards, and one closure per shard running to completion before the
 //! coordinating thread continues the phase pipeline. That is a
 //! fork-join, not a queue: every task must finish before the next
-//! phase (or the event splice) may observe the columns, so work
+//! pass (or the event splice) may observe the columns, so work
 //! stealing buys nothing and the join barrier is the point.
 //!
 //! The tasks borrow non-`'static` state (`&mut` column slices, shard
 //! scratch), and the workspace forbids `unsafe`, so a persistent
 //! worker pool cannot hold them across calls; [`std::thread::scope`]
 //! is the sanctioned safe mechanism. Spawn cost is paid per fork —
-//! a few microseconds per thread, amortized over column sweeps that
-//! walk tens of thousands of nodes per shard. The first task always
+//! a few microseconds per thread. Unobserved, the slot kernel forks
+//! once per barrier-delimited pass, two or three times a slot (its
+//! phases between barriers run fused; see `sim/shard.rs`), so the cost
+//! is amortized over passes that walk tens of thousands of nodes per
+//! shard; an observed slot forks once per phase stage. The first task always
 //! runs inline on the calling thread, so a one-task fork (the slot
 //! kernel's serial path) spawns nothing and allocates nothing, and an
 //! `n`-task fork spawns `n − 1` threads while the caller works

@@ -5,80 +5,71 @@
 //! logical position (the awake clone, if any) with its Spendthrift
 //! state, reassigns the pending fog tasks, and the transfer traffic is
 //! charged to the awake nodes — via the balance-credit column: the
-//! per-node share is marked on every awake node, then a second sweep
-//! spends marked credits in index order (the same order the old
-//! participant list walked, without allocating it).
+//! per-node share is marked on every awake node, then the
+//! [`CreditStage`] spends marked credits in index order (the same
+//! order the old participant list walked, without allocating it).
 //!
 //! The balancer call itself is inherently serial (it sees the whole
-//! chain at once and draws from the global RNG stream), so it books
-//! its network-level counters (tasks migrated, offload decisions)
-//! directly on the coordinator; only the final credit-spend sweep is
-//! element-wise, so that is the part that shards.
+//! chain at once and draws from the global RNG stream), so it is one
+//! of the slot's two barriers: it books its network-level counters
+//! (tasks migrated, offload decisions) directly on the coordinator,
+//! and only the credit spend is element-wise — it opens the pass that
+//! follows the balancer.
 
-use super::columns::{self, NodeColumns};
+use super::columns::{self, position_nodes, NodeColumns, NodeView};
 use super::ctx::{Package, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
-use super::shard::{drive, ColumnsShard, ShardSink, ShardWork, Sweep};
-use super::{BalancerKind, SimParts};
+use super::ledger::EnergyLedger;
+use super::shard::{ShardSink, ShardWork, Stage};
+use super::{BalancerKind, SimConfig, SimParts};
 use crate::balance::{ChainBalanceInput, FogTask, NodeBalanceState, RouteContext};
 use neofog_types::{Energy, NodeId};
 
-/// The balance-credit spend sweep: pays every marked share in index
-/// order and clears the credit column behind itself.
-struct CreditSweep;
+/// The balance-credit spend stage: pays a marked share and clears the
+/// credit column behind itself.
+pub(super) struct CreditStage;
 
-impl Sweep for CreditSweep {
-    fn sweep(
+impl Stage for CreditStage {
+    #[inline(always)]
+    fn node_sweep(
         &self,
-        shard: &mut ColumnsShard<'_>,
+        view: &mut NodeView<'_>,
+        ledger: &mut EnergyLedger,
         _work: &mut ShardWork<'_>,
         sink: &mut ShardSink<'_>,
     ) {
-        let ColumnsShard {
-            base,
-            cap,
-            direct_left,
-            balance_credit,
-            ledgers,
-            direct_eff,
-            discharge_eff,
-            ..
-        } = shard;
-        for (local, (((credit, cap), direct_left), ledger)) in balance_credit
-            .iter_mut()
-            .zip(cap.iter_mut())
-            .zip(direct_left.iter_mut())
-            .zip(ledgers.iter_mut())
-            .enumerate()
-        {
-            if *credit == Energy::ZERO {
-                continue;
-            }
-            let share = *credit;
-            *credit = Energy::ZERO;
-            columns::spend_budget(direct_left, *direct_eff, *discharge_eff, cap, ledger, share);
-            sink.emit(SimEvent::RadioCharged {
-                node: *base + local,
-                energy: share,
-                purpose: RadioPurpose::Balance,
-            });
+        if *view.balance_credit == Energy::ZERO {
+            return;
         }
+        let share = std::mem::replace(view.balance_credit, Energy::ZERO);
+        // The share is charged whether or not the spend lands in full
+        // — the airtime happened either way.
+        view.spend(ledger, share);
+        sink.emit(SimEvent::RadioCharged {
+            node: view.node,
+            energy: share,
+            purpose: RadioPurpose::Balance,
+        });
     }
 }
 
+/// Whether the slot has a balancer barrier: a balancer is configured
+/// on a fog-capable system.
+pub(super) fn active(cfg: &SimConfig) -> bool {
+    cfg.system.is_fog_capable() && !matches!(cfg.balancer, BalancerKind::None)
+}
+
+/// The serial balancer call: rebuilds the representatives' pending
+/// queues and marks the transfer shares the [`CreditStage`] spends.
 pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
-    if !parts.cfg.system.is_fog_capable() || matches!(parts.cfg.balancer, BalancerKind::None) {
-        return;
-    }
     let cols = &mut *parts.nodes;
+    let multiplex = parts.cfg.multiplex as usize;
     // One representative per position: the awake clone (if any).
-    let reps: Vec<Option<usize>> = parts
-        .positions
-        .iter()
-        .map(|phys| phys.iter().copied().find(|&i| cols.awake[i]))
+    let reps: Vec<Option<usize>> = (0..parts.cfg.positions)
+        .map(|pos| position_nodes(pos, multiplex).find(|&i| cols.awake[i]))
         .collect();
-    let mut chain_nodes = Vec::with_capacity(parts.positions.len());
-    let mut rep_map = Vec::with_capacity(parts.positions.len());
+    let mut chain_nodes = Vec::with_capacity(reps.len());
+    let mut rep_map = Vec::with_capacity(reps.len());
     for (pos, rep) in reps.iter().enumerate() {
         let (state, idx) = match rep {
             Some(i) => {
@@ -200,30 +191,21 @@ pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
                 .cfg
                 .system
                 .rx_cost(parts.rf, parts.cfg.node.package.raw_bytes);
-        let participants = {
-            let NodeColumns {
-                awake,
-                balance_credit,
-                ..
-            } = cols;
-            let participants = awake.iter().filter(|&&a| a).count();
-            if participants > 0 {
-                let share = per_hop * report.transfer_hops as f64 / participants as f64;
-                // Mark the share on every awake node...
-                for (credit, &awake) in balance_credit.iter_mut().zip(awake.iter()) {
-                    if awake {
-                        *credit = share;
-                    }
+        let NodeColumns {
+            awake,
+            balance_credit,
+            ..
+        } = cols;
+        let participants = awake.iter().filter(|&&a| a).count();
+        if participants > 0 {
+            let share = per_hop * report.transfer_hops as f64 / participants as f64;
+            // Mark the share on every awake node; the credit stage that
+            // opens the next pass spends it in index order.
+            for (credit, &awake) in balance_credit.iter_mut().zip(awake.iter()) {
+                if awake {
+                    *credit = share;
                 }
             }
-            participants
-        };
-        // ...then spend marked credits in index order (sharded when
-        // threaded — credits are per-node, so the sweep partitions
-        // cleanly). The share is charged whether or not the spend
-        // lands in full — the airtime happened either way.
-        if participants > 0 {
-            drive(parts, ctx, &CreditSweep);
         }
     }
 }

@@ -40,6 +40,7 @@ use crate::node::{NodeCapabilities, NodeConfig};
 use neofog_energy::{EnergyCurve, FrontEnd, Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
 use neofog_types::{Energy, Power, SimRng};
+use std::ops::Range;
 
 /// Rarely-touched per-node state, reached only when a node is active.
 #[cfg_attr(test, derive(Debug, Clone, PartialEq))]
@@ -92,7 +93,7 @@ pub(crate) struct NodeColumns {
     /// Mean income power over the slot, pre-RTC (harvest fills it).
     pub(crate) income_power: Vec<Power>,
     /// Balance-transfer shares marked on awake nodes, spent in index
-    /// order by the balance phase's charging sweep.
+    /// order by the balance credit stage.
     pub(crate) balance_credit: Vec<Energy>,
     // --- per-run scalars ---
     /// Direct-channel efficiency (0.0 on systems without one); shared
@@ -105,38 +106,44 @@ pub(crate) struct NodeColumns {
     pub(crate) cold: Vec<NodeCold>,
 }
 
-/// A row lens over one node: disjoint `&mut`s into the columns plus
-/// the cold row, so phase code that works a single node (compute,
-/// transmit) reads like the row-oriented pipeline it replaced.
+/// A row lens over one node: disjoint borrows of every hot column at
+/// the node's index and of its cold row. The shard's row iterator
+/// yields one per node, beside the node's conservation ledger, by
+/// zipping the column slices, so a phase stage reads and writes a node
+/// like the row-oriented pipeline it replaced without indexing any
+/// column.
 ///
-/// The budget pieces are separate fields (not a sub-struct) on
-/// purpose: the compute phase holds a borrow of `pending`'s head
-/// package across `spend` calls, which is only legal because
-/// `direct_left`/`cap` are sibling fields the borrow checker can split
-/// (`&mut *view.direct_left` while `view.pending`'s head is live).
+/// Every piece is a separate field (not a sub-struct) on purpose: the
+/// compute stage holds a borrow of the pending queue's head package
+/// across budget spends, which is only legal because `cold`,
+/// `direct_left` and `cap` are sibling fields the borrow checker can
+/// split (`&mut *view.direct_left` while `view.cold.pending`'s head is
+/// live).
 pub(crate) struct NodeView<'a> {
-    /// Node design parameters.
-    pub(crate) cfg: &'a NodeConfig,
+    /// Global physical node index (the id every event carries).
+    pub(crate) node: usize,
     /// Main super-capacitor.
     pub(crate) cap: &'a mut SuperCap,
-    /// Fog-processing queue.
-    pub(crate) pending: &'a mut Vec<Package>,
-    /// Transmission queue.
-    pub(crate) outbox: &'a mut Vec<Package>,
-    /// Private RNG stream.
-    pub(crate) rng: &'a mut SimRng,
-    /// Mirrored `pending.len()`; keep in sync on push/pop.
-    pub(crate) fifo_depth: &'a mut u32,
-    /// Unspent direct pool.
-    pub(crate) direct_left: &'a mut Energy,
+    /// RTC capacitor.
+    pub(crate) rtc: &'a mut Rtc,
+    /// Wake schedule cursor.
+    pub(crate) schedule: &'a SlotSchedule,
     /// Logical chain position.
     pub(crate) position: usize,
     /// Route-plan hop count to the sink.
     pub(crate) hops_to_sink: u32,
-    /// Tier-derived capability row.
-    pub(crate) caps: NodeCapabilities,
+    /// Mirrored `cold.pending.len()`; keep in sync on push/pop.
+    pub(crate) fifo_depth: &'a mut u32,
+    /// Unspent direct pool.
+    pub(crate) direct_left: &'a mut Energy,
+    /// Wake flag.
+    pub(crate) awake: &'a mut bool,
     /// Mean income power this slot.
-    pub(crate) income_power: Power,
+    pub(crate) income_power: &'a mut Power,
+    /// Balance-transfer share marked on this node.
+    pub(crate) balance_credit: &'a mut Energy,
+    /// Config, curve, queues and RNG stream.
+    pub(crate) cold: &'a mut NodeCold,
     /// Direct-channel efficiency (per-run scalar).
     pub(crate) direct_eff: f64,
     /// Discharge-regulator efficiency (per-run scalar).
@@ -160,6 +167,13 @@ impl NodeView<'_> {
             amount,
         )
     }
+}
+
+/// The physical nodes implementing logical `position` under NVD4Q
+/// multiplex factor `multiplex`: nodes are laid out position-major, so
+/// position `p` owns `p·M .. (p+1)·M`.
+pub(crate) fn position_nodes(position: usize, multiplex: usize) -> Range<usize> {
+    position * multiplex..(position + 1) * multiplex
 }
 
 /// Spendable energy: the direct pool plus the capacitor behind the

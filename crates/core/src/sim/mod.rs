@@ -1,5 +1,5 @@
 //! The slot-driven WSN system simulator (paper §4), structured as a
-//! phase pipeline over a typed event bus.
+//! phase pipeline of per-node stages.
 //!
 //! One simulator instance models one chain of logical positions (10 in
 //! every figure), optionally NVD4Q-multiplexed so each position is
@@ -12,8 +12,8 @@
 //! Every slot resets the simulator-owned scratch
 //! [`SlotCtx`](ctx::SlotCtx) (budgets, wake flags, conservation
 //! ledgers — cleared and refilled in place so the steady-state loop
-//! never allocates) and runs six explicit phase functions over it,
-//! in order — one module per phase:
+//! never allocates) and runs six phases over it, in order — one module
+//! per phase:
 //!
 //! 1. [`harvest`] — each physical node reads its prefix-summed income
 //!    curve over the slot (O(1) per node),
@@ -40,6 +40,31 @@
 //!    airtime. Packages whose relay duty cannot be paid are lost.
 //! 6. [`slot_end`] — volatile nodes lose their queues; capacitors
 //!    leak; conservation ledgers settle.
+//!
+//! # Passes per barrier
+//!
+//! Each element-wise phase body is a per-node *stage* (harvest, wake,
+//! the balance-credit spend, compute exec, stale shed, transmit send,
+//! relay duty, slot end), and each body exists once. A slot has only
+//! two cross-node barriers: the serial balancer call, present only
+//! when a balancer is configured on a fog-capable system, and the
+//! transmit relay fold, which needs every shard's sends. Everything
+//! between two barriers runs as **one pass** over each shard, calling
+//! a node's stages back to back in phase order, so a node's cold row
+//! and queues are fetched from memory once per pass rather than once
+//! per phase:
+//!
+//! * no balancer: harvest → wake → exec → shed → send, the fold, then
+//!   relay duty → slot end — two fork rounds per slot;
+//! * with a balancer: harvest → wake, the serial balancer, credit →
+//!   exec → shed → send, the fold, then relay duty → slot end — three.
+//!
+//! For any one node the fused order *is* the phase order, so its `f64`
+//! counter order is unchanged; cross-node counters (deliveries by
+//! origin, network totals) are `u64`, and per-node RNG streams are
+//! node-local, so the fused schedule is exact. While an observer
+//! records, the same stages run one pass each in phase order instead,
+//! so event logs keep their phase-major order (see `sim/shard.rs`).
 //!
 //! # Counters and events
 //!
@@ -94,6 +119,7 @@ use neofog_nvp::SpendthriftPolicy;
 use neofog_rf::{LossModel, RfTimings};
 use neofog_types::{Duration, Energy, NeoFogError, Power, Result, SimRng};
 use serde::{Deserialize, Serialize};
+use shard::run_stages;
 
 /// Which balancer a simulation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -203,7 +229,7 @@ pub struct SimConfig {
     /// Worker threads for the sharded slot kernel: `1` (the default)
     /// runs today's serial path, `0` resolves to the machine's
     /// available parallelism, and any other value forks that many
-    /// position-aligned shards per element-wise phase. Every value
+    /// position-aligned shards per pass. Every value
     /// produces a byte-identical event log (see `sim/shard.rs`).
     pub threads: usize,
 }
@@ -280,10 +306,9 @@ impl SimResult {
 /// The simulator: durable node state plus the observer stack.
 pub struct Simulator {
     cfg: SimConfig,
-    /// Per-node state, columnar for the hot fields (see [`columns`]).
+    /// Per-node state, columnar for the hot fields (see [`columns`]);
+    /// position `p` owns nodes `p·M .. (p+1)·M`.
     nodes: NodeColumns,
-    /// Physical node indices per logical position.
-    positions: Vec<Vec<usize>>,
     /// Compiled topology: next-hop table, hop counts, sweep order and
     /// CSR adjacency — the slot loop never does graph search.
     route: RoutePlan,
@@ -323,7 +348,6 @@ fn resolve_threads(threads: usize) -> usize {
 pub(crate) struct SimParts<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) nodes: &'a mut NodeColumns,
-    pub(crate) positions: &'a [Vec<usize>],
     pub(crate) route: &'a RoutePlan,
     pub(crate) caps: &'a [NodeCapabilities],
     pub(crate) balancer: &'a mut Box<dyn LoadBalancer>,
@@ -369,11 +393,9 @@ impl Simulator {
             .collect();
         let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
         let mut nodes = Vec::with_capacity(physical);
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); cfg.positions];
-        for p in 0..cfg.positions {
+        for (p, &tier_caps) in caps.iter().enumerate() {
             for k in 0..cfg.multiplex {
                 let idx = nodes.len();
-                positions[p].push(idx);
                 let schedule = if cfg.multiplex == 1 {
                     SlotSchedule::every_slot()
                 } else {
@@ -393,7 +415,7 @@ impl Simulator {
                     schedule,
                     position: p,
                     hops_to_sink: route.hops(p),
-                    caps: caps[p],
+                    caps: tier_caps,
                     pending: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     outbox: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     rng: rng.fork(idx as u64),
@@ -422,7 +444,6 @@ impl Simulator {
         let threads = resolve_threads(cfg.threads);
         Ok(Simulator {
             nodes,
-            positions,
             route,
             caps,
             balancer,
@@ -537,7 +558,8 @@ impl Simulator {
         }
     }
 
-    /// Advances one slot through the six-phase pipeline.
+    /// Advances one slot through the six-phase pipeline, one pass per
+    /// barrier (see the module docs).
     fn step(&mut self, slot: u64) {
         // Take the scratch context out so the phases can borrow the
         // simulator mutably alongside it; its vectors are cleared and
@@ -547,12 +569,30 @@ impl Simulator {
         ctx.reset(&self.cfg, &self.nodes, slot);
         let mut parts = self.parts();
         parts.observers.on_event(&SimEvent::SlotBegan { slot });
-        harvest::run(&mut parts, &mut ctx);
-        wake::run(&mut parts, &mut ctx);
-        balance::run(&mut parts, &mut ctx);
-        compute::run(&mut parts, &mut ctx);
-        transmit::run(&mut parts, &mut ctx);
-        slot_end::run(&mut parts, &mut ctx);
+        let early = (
+            harvest::HarvestStage::new(parts.cfg, &ctx),
+            wake::WakeStage::new(parts.cfg, &ctx),
+        );
+        let late = (
+            compute::ExecStage::new(&parts),
+            (
+                compute::ShedStage::new(&ctx),
+                transmit::SendStage::new(&parts),
+            ),
+        );
+        if balance::active(parts.cfg) {
+            run_stages(&mut parts, &mut ctx, &early);
+            balance::run(&mut parts, &mut ctx);
+            run_stages(&mut parts, &mut ctx, &(balance::CreditStage, late));
+        } else {
+            run_stages(&mut parts, &mut ctx, &(early, late));
+        }
+        transmit::fold(&parts, &mut ctx);
+        let last = (
+            transmit::DutyStage::new(&parts),
+            slot_end::SlotEndStage::new(parts.cfg),
+        );
+        run_stages(&mut parts, &mut ctx, &last);
         parts.observers.on_event(&SimEvent::SlotEnded { slot });
         self.scratch = ctx;
     }
@@ -562,7 +602,6 @@ impl Simulator {
         let Simulator {
             cfg,
             nodes,
-            positions,
             route,
             caps,
             balancer,
@@ -578,7 +617,6 @@ impl Simulator {
         SimParts {
             cfg,
             nodes,
-            positions,
             route,
             caps,
             balancer,

@@ -11,8 +11,14 @@
 //! counts 1..=16. The counters are compared on the default path too —
 //! no event log, no observer — where the shards record no events and
 //! the kernel's sinks are the only writers of `SimResult::metrics`.
+//!
+//! The schedule is checked as well: with no observer the kernel fuses
+//! each barrier's phases into one pass per shard, while an attached
+//! observer keeps one pass per phase. Both must leave the same node
+//! state and counters. Debug builds always attach the conservation
+//! `LedgerObserver`, so only release builds exercise the fused side.
 
-use neofog_core::sim::{BalancerKind, SimConfig, Simulator};
+use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
 use neofog_core::{NetworkMetrics, SystemKind};
 use neofog_energy::Scenario;
 use neofog_net::TopologySpec;
@@ -230,5 +236,67 @@ proptest! {
         let (digest, log) = run_threaded(cfg, 24, threads, &tag);
         prop_assert_eq!(serial_log, log, "event log diverged");
         prop_assert_eq!(serial_digest, digest, "column state diverged");
+    }
+}
+
+/// An observer that ignores every event: attaching it only switches
+/// the kernel to the per-stage schedule.
+struct Silent;
+
+impl SimObserver for Silent {
+    fn on_event(&mut self, _event: &SimEvent) {}
+}
+
+/// Runs `cfg` over its whole window — with [`Silent`] attached when
+/// `observed` — and returns the durable-state digest and the counters.
+fn digest_and_metrics(cfg: SimConfig, observed: bool) -> (u64, NetworkMetrics) {
+    let slots = cfg.slots;
+    let mut sim = Simulator::new(cfg).expect("valid config");
+    if observed {
+        sim.attach_observer(Box::new(Silent));
+    }
+    sim.advance(slots);
+    let digest = sim.state_digest();
+    (digest, sim.run().metrics)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Fused passes (no observer) and per-stage passes (an observer
+    /// attached) agree on every topology, balancer, system, multiplex
+    /// factor and thread count, stored-energy series included.
+    #[test]
+    fn fused_passes_match_per_stage_passes(
+        positions in 4usize..14,
+        multiplex_pick in 0u8..2,
+        threads in 1usize..9,
+        topo_pick in 0u8..3,
+        balancer_pick in 0u8..4,
+        system_pick in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let system = SystemKind::ALL[system_pick];
+        let multiplex = if multiplex_pick == 0 { 1 } else { 3 };
+        let mut cfg = base_cfg(system, positions, multiplex, seed);
+        cfg.slots = 24;
+        cfg.threads = threads;
+        cfg.trace_stored = true;
+        cfg.topology = match topo_pick {
+            0 => TopologySpec::default(),
+            1 => TopologySpec::ErdosRenyi { edge_prob: 0.4, seed },
+            _ => TopologySpec::Tiered { gateways: 2 },
+        };
+        cfg.balancer = [
+            BalancerKind::None,
+            BalancerKind::Tree,
+            BalancerKind::Distributed,
+            BalancerKind::Offload,
+        ][usize::from(balancer_pick)];
+        let (fused_digest, fused) = digest_and_metrics(cfg.clone(), false);
+        let (staged_digest, staged) = digest_and_metrics(cfg, true);
+        prop_assert!(staged.total_wakeups() > 0, "nothing happened");
+        prop_assert_eq!(fused_digest, staged_digest, "node state diverged");
+        prop_assert_eq!(fused, staged, "counters diverged");
     }
 }

@@ -39,9 +39,10 @@
 //! Entry selection is *function-shaped*, not file-shaped: only
 //! functions named `sweep`/`*_sweep` in [`rules::SHARD_ENTRY_FILES`]
 //! root the NF-SHARD closure, because the same files also contain the
-//! sanctioned coordinators (`drive`, `settle`, `ShardIter::new`)
-//! that legitimately hold the whole fleet — and no sweep can call back
-//! into them. Like [`crate::reach`], messages omit line numbers (the
+//! sanctioned coordinators (`drive`, `run_stages`, `settle`,
+//! `ShardIter::new`) that legitimately hold the whole fleet — and no
+//! sweep can call back into them. A stage body outside those files is
+//! still covered: the fused pass that calls it reaches it. Like [`crate::reach`], messages omit line numbers (the
 //! baseline stays stable as code drifts) and carry the witness call
 //! chain in [`crate::engine::Violation::chain`].
 

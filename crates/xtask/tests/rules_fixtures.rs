@@ -646,6 +646,51 @@ fn shard_rules_are_quiet_for_view_local_sweeps_and_unreached_helpers() {
 }
 
 #[test]
+fn shard_rules_reach_stage_bodies_through_a_fused_pass() {
+    // pass (shard driver, `sweep`) -> stage body in a non-entry file
+    // naming the fleet-wide counters: the stage is linted because the
+    // fused pass reaches it, and the witness chain says so.
+    let report = lint_sources(&[
+        (
+            "crates/core/src/sim/shard.rs",
+            include_str!("fixtures/shard_fused.rs"),
+        ),
+        (
+            "crates/core/src/sim/tally.rs",
+            include_str!("fixtures/shard_stage.rs"),
+        ),
+    ]);
+    let hits: Vec<(&str, &str, u32)> = report
+        .violations
+        .iter()
+        .map(|v| (v.rule, v.path.as_str(), v.line))
+        .collect();
+    assert_eq!(
+        hits,
+        vec![("NF-SHARD-001", "crates/core/src/sim/tally.rs", 10)],
+        "{:?}",
+        report.violations
+    );
+    let hit = report.violations.first().expect("stage-body hit");
+    assert_eq!(
+        hit.chain,
+        vec!["core::Pass::sweep", "core::TallyStage::node_sweep"],
+        "witness chain runs through the fused pass"
+    );
+    assert!(
+        hit.message.contains("full-fleet state `NetworkMetrics`"),
+        "{}",
+        hit.message
+    );
+    // The same stage with no pass to reach it is policy-free.
+    let report = lint_sources(&[(
+        "crates/core/src/sim/tally.rs",
+        include_str!("fixtures/shard_stage.rs"),
+    )]);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
 fn shard_sink_emit_is_sanctioned_only_while_no_other_type_shares_the_name() {
     // Sink-only `emit`: the dotted call resolves to the shard's own
     // sink and nowhere else.
