@@ -4,7 +4,7 @@
 
 use neofog_bench::{banner, BenchArgs};
 use neofog_core::report::render_table;
-use neofog_net::ChainMesh;
+use neofog_net::RoutePlan;
 use neofog_rf::LossModel;
 
 fn main() {
@@ -14,24 +14,15 @@ fn main() {
         "10 nodes: 9 jumps; naive 4x densification: ~25 jumps; NVD4Q: still 9",
     );
     let loss = LossModel::paper_default();
-    // Baseline: a 10-node chain spanning 135 m (15 m spacing).
-    let baseline = ChainMesh::single_chain(10, 15.0);
-    let baseline_hops = baseline.relay_hops() as u32;
+    // Baseline: a 10-node chain, 9 relay hops from the far end.
+    let baseline_hops = RoutePlan::chain(10).max_hops();
 
     // Naive 4x densification: 40 nodes across the same span. The
-    // locality-greedy Zigbee protocol hops to the nearest neighbour,
-    // and because the denser field zig-zags across rows the effective
-    // route grows to ~25 jumps (paper's measured example).
-    let dense = ChainMesh::single_chain(40, 15.0 * 9.0 / 39.0);
-    let dense_hops = {
-        // Greedy nearest-neighbour routing visits intermediate nodes;
-        // with 4x density the straight-line path alone is 39 hops —
-        // the paper observes 25 once the mesh shortcuts some pairs.
-        // We reproduce the paper's measured figure of the zig-zag
-        // route through the 4x field.
-        let chain_hops = dense.relay_hops() as u32;
-        chain_hops.min(25)
-    };
+    // locality-greedy Zigbee protocol hops to the nearest neighbour;
+    // the straight-line path alone is 39 hops, and the paper measures
+    // 25 once the zig-zagging mesh shortcuts some pairs. We reproduce
+    // that measured figure.
+    let dense_hops = RoutePlan::chain(40).max_hops().min(25);
 
     // NVD4Q at 4x: 40 physical nodes, but the virtual topology is the
     // original 10 logical nodes.

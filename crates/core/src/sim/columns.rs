@@ -2,8 +2,8 @@
 //! kernel sweeps over.
 //!
 //! The phase functions are linear passes over every physical node, and
-//! at fleet scale (10⁵–10⁶ nodes per chain) the array-of-structs
-//! [`NodeSim`] layout made each pass a pointer-chase: harvesting
+//! at fleet scale (10⁵–10⁶ nodes per chain) an array-of-structs
+//! layout, one row per node, made each pass a pointer-chase: harvesting
 //! touched a capacitor, an RTC, a curve and two queues per node even
 //! though it only *needed* the capacitor level and the curve. This
 //! module splits that state by temperature:
@@ -34,7 +34,7 @@
 //! every awake node, then spend marked credits in index order —
 //! allocation-free and in the same order the participant list gave.
 
-use super::ctx::{NodeSim, Package};
+use super::ctx::Package;
 use super::ledger::EnergyLedger;
 use crate::node::{NodeCapabilities, NodeConfig};
 use neofog_energy::{EnergyCurve, FrontEnd, Rtc, SuperCap};
@@ -43,7 +43,6 @@ use neofog_types::{Energy, Power, SimRng};
 use std::ops::Range;
 
 /// Rarely-touched per-node state, reached only when a node is active.
-#[cfg_attr(test, derive(Debug, Clone, PartialEq))]
 pub(crate) struct NodeCold {
     /// Node design parameters (identical across the fleet).
     pub(crate) cfg: NodeConfig,
@@ -62,9 +61,9 @@ pub(crate) struct NodeCold {
 
 /// All per-node state, columnar for the hot fields.
 ///
-/// Indices are physical node indices, identical to the old
-/// `Vec<NodeSim>` order (and to [`Simulator::new`]'s construction
-/// order), so every event keeps its node id.
+/// Indices are physical node indices in [`Simulator::new`]'s
+/// construction order (position-major, clones within a position), so
+/// every event keeps its node id.
 ///
 /// [`Simulator::new`]: super::Simulator::new
 pub(crate) struct NodeColumns {
@@ -229,22 +228,21 @@ pub(crate) fn leftover_income(direct_left: &mut Energy, direct_eff: f64) -> Ener
 }
 
 impl NodeColumns {
-    /// Splits row-oriented node state into columns. `fe` is the fleet's
+    /// Empty columns with room for `n` nodes. `fe` is the fleet's
     /// shared front-end (every node has the same `NodeConfig`), which
     /// fixes the per-run budget efficiencies.
-    pub(crate) fn scatter(rows: Vec<NodeSim>, fe: FrontEnd) -> NodeColumns {
-        let n = rows.len();
-        let mut cols = NodeColumns {
+    pub(crate) fn with_capacity(n: usize, fe: FrontEnd) -> NodeColumns {
+        NodeColumns {
             cap: Vec::with_capacity(n),
             rtc: Vec::with_capacity(n),
             schedule: Vec::with_capacity(n),
             position: Vec::with_capacity(n),
             hops_to_sink: Vec::with_capacity(n),
             fifo_depth: Vec::with_capacity(n),
-            direct_left: vec![Energy::ZERO; n],
-            awake: vec![false; n],
-            income_power: vec![Power::ZERO; n],
-            balance_credit: vec![Energy::ZERO; n],
+            direct_left: Vec::with_capacity(n),
+            awake: Vec::with_capacity(n),
+            income_power: Vec::with_capacity(n),
+            balance_credit: Vec::with_capacity(n),
             direct_eff: if fe.has_direct_channel() {
                 fe.direct_efficiency()
             } else {
@@ -252,62 +250,31 @@ impl NodeColumns {
             },
             discharge_eff: fe.discharge_efficiency(),
             cold: Vec::with_capacity(n),
-        };
-        for row in rows {
-            cols.cap.push(row.cap);
-            cols.rtc.push(row.rtc);
-            cols.schedule.push(row.schedule);
-            cols.position.push(row.position);
-            cols.hops_to_sink.push(row.hops_to_sink);
-            cols.fifo_depth.push(row.pending.len() as u32);
-            cols.cold.push(NodeCold {
-                cfg: row.cfg,
-                caps: row.caps,
-                curve: row.curve,
-                pending: row.pending,
-                outbox: row.outbox,
-                rng: row.rng,
-            });
         }
-        cols
     }
 
-    /// Rebuilds the row-oriented view — the inverse of
-    /// [`scatter`](NodeColumns::scatter). Test-only: the round-trip
-    /// property test asserts the split is lossless.
-    #[cfg(test)]
-    pub(crate) fn gather(self) -> Vec<NodeSim> {
-        let NodeColumns {
-            cap,
-            rtc,
-            schedule,
-            position,
-            hops_to_sink,
-            cold,
-            ..
-        } = self;
-        cap.into_iter()
-            .zip(rtc)
-            .zip(schedule)
-            .zip(position)
-            .zip(hops_to_sink)
-            .zip(cold)
-            .map(
-                |(((((cap, rtc), schedule), position), hops_to_sink), cold)| NodeSim {
-                    cfg: cold.cfg,
-                    cap,
-                    rtc,
-                    curve: cold.curve,
-                    schedule,
-                    position,
-                    hops_to_sink,
-                    caps: cold.caps,
-                    pending: cold.pending,
-                    outbox: cold.outbox,
-                    rng: cold.rng,
-                },
-            )
-            .collect()
+    /// Appends one node (the next physical index) with cleared
+    /// per-slot columns and its FIFO depth mirrored from `cold`.
+    pub(crate) fn push_node(
+        &mut self,
+        cap: SuperCap,
+        rtc: Rtc,
+        schedule: SlotSchedule,
+        position: usize,
+        hops_to_sink: u32,
+        cold: NodeCold,
+    ) {
+        self.cap.push(cap);
+        self.rtc.push(rtc);
+        self.schedule.push(schedule);
+        self.position.push(position);
+        self.hops_to_sink.push(hops_to_sink);
+        self.fifo_depth.push(cold.pending.len() as u32);
+        self.direct_left.push(Energy::ZERO);
+        self.awake.push(false);
+        self.income_power.push(Power::ZERO);
+        self.balance_credit.push(Energy::ZERO);
+        self.cold.push(cold);
     }
 
     /// Number of physical nodes.
@@ -337,78 +304,6 @@ impl NodeColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::SystemKind;
-    use neofog_energy::PowerTrace;
-    use neofog_types::Duration;
-    use proptest::prelude::*;
-
-    /// One row with every field carrying node-distinct state, so a
-    /// field dropped or cross-wired by scatter/gather shows up.
-    fn row(i: usize, stored_mj: f64, pend: usize, out: usize, seed: u64, pos: usize) -> NodeSim {
-        let trace = PowerTrace::constant(
-            Power::from_milliwatts(0.5 + i as f64),
-            Duration::from_secs(60),
-            Duration::from_secs(1),
-        );
-        let mut rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
-        // Vary the RTC level (and possibly its sync state) per node.
-        rtc.elapse(Duration::from_secs(seed % 7));
-        let mut rng = SimRng::seed_from(seed);
-        let pkg = |k: usize, done: bool| Package {
-            origin: i,
-            created: k as u64,
-            fog_remaining: if done { 0 } else { 1 + k as u64 * 17 },
-            fog_done: done,
-        };
-        NodeSim {
-            cfg: NodeConfig::paper_default(SystemKind::FiosNeoFog),
-            cap: SuperCap::new(Energy::from_millijoules(100.0))
-                .with_charge_efficiency(0.65)
-                .with_initial(Energy::from_millijoules(stored_mj)),
-            rtc,
-            curve: EnergyCurve::new(trace),
-            schedule: SlotSchedule::new(3, (i % 3) as u32),
-            position: pos,
-            hops_to_sink: pos as u32,
-            caps: crate::node::TierCapabilities::paper_default().sensor,
-            pending: (0..pend).map(|k| pkg(k, false)).collect(),
-            outbox: (0..out).map(|k| pkg(k, k % 2 == 0)).collect(),
-            rng: rng.fork(i as u64),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// scatter → gather is lossless: every field of every row
-        /// survives the columnar split bit-for-bit.
-        #[test]
-        fn scatter_gather_round_trips(
-            specs in prop::collection::vec(
-                (0.0..100.0f64, 0usize..8, 0usize..6, any::<u64>(), 0usize..10),
-                1..24,
-            )
-        ) {
-            let rows: Vec<NodeSim> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, &(mj, p, o, seed, pos))| row(i, mj, p, o, seed, pos))
-                .collect();
-            let reference: Vec<NodeSim> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, &(mj, p, o, seed, pos))| row(i, mj, p, o, seed, pos))
-                .collect();
-            let fe = SystemKind::FiosNeoFog.front_end();
-            let cols = NodeColumns::scatter(rows, fe);
-            // The FIFO-depth mirror is established by the split itself.
-            for (depth, cold) in cols.fifo_depth.iter().zip(cols.cold.iter()) {
-                prop_assert_eq!(*depth as usize, cold.pending.len());
-            }
-            let back = cols.gather();
-            prop_assert_eq!(back, reference);
-        }
-    }
 
     #[test]
     fn budget_math_matches_the_row_pipeline() {

@@ -4,9 +4,10 @@
 //! it is [`reset`](SlotCtx::reset) at the top of every slot and
 //! threaded through the six phases in order. It owns the per-slot
 //! state that is *not* per-node-columnar (conservation ledgers,
-//! per-position forwarding duty, package scratch); the per-node hot
-//! state — budgets, wake flags, income powers — lives in the
-//! [`NodeColumns`](super::columns::NodeColumns) arrays, reset by
+//! per-position forwarding duty, package scratch). Node state lives
+//! in [`NodeColumns`](super::columns::NodeColumns), which
+//! `Simulator::new` builds directly; its per-slot columns — budgets,
+//! wake flags, income powers — are reset by
 //! [`begin_slot`](super::columns::NodeColumns::begin_slot) alongside
 //! this context. Both clear and refill in place, so after the first
 //! slot the steady-state loop performs no heap allocation here.
@@ -15,11 +16,8 @@ use super::columns::NodeColumns;
 use super::ledger::EnergyLedger;
 use super::shard::{pos_per_shard, ShardScratch};
 use crate::balance::OffloadDecision;
-use crate::node::{NodeCapabilities, NodeConfig};
 use crate::sim::SimConfig;
-use neofog_energy::{EnergyCurve, Rtc, SuperCap};
-use neofog_net::slots::SlotSchedule;
-use neofog_types::{Duration, SimRng};
+use neofog_types::Duration;
 use serde::{Deserialize, Serialize};
 
 /// Maximum fog backlog a node admits (packages); the NV buffer sheds
@@ -44,33 +42,6 @@ pub(crate) struct Package {
     pub(crate) fog_remaining: u64,
     /// Whether the fog task completed.
     pub(crate) fog_done: bool,
-}
-
-/// One physical node's state as a row: the construction-time shape,
-/// split into the columnar layout by
-/// [`NodeColumns::scatter`](super::columns::NodeColumns::scatter)
-/// before the first slot runs (and reassembled by `gather` in tests —
-/// the round-trip is lossless).
-#[cfg_attr(test, derive(Debug, PartialEq))]
-pub(crate) struct NodeSim {
-    pub(crate) cfg: NodeConfig,
-    pub(crate) cap: SuperCap,
-    pub(crate) rtc: Rtc,
-    /// Prefix-summed income curve: `energy_between` is O(1) per slot
-    /// instead of walking every trace sample the slot covers.
-    pub(crate) curve: EnergyCurve,
-    pub(crate) schedule: SlotSchedule,
-    /// Logical chain position this node implements.
-    pub(crate) position: usize,
-    /// Route-plan hop count from this node's position to the sink.
-    pub(crate) hops_to_sink: u32,
-    /// Tier-derived radio/compute capability row.
-    pub(crate) caps: NodeCapabilities,
-    /// Packages awaiting fog processing (fog systems only).
-    pub(crate) pending: Vec<Package>,
-    /// Packages ready for transmission.
-    pub(crate) outbox: Vec<Package>,
-    pub(crate) rng: SimRng,
 }
 
 /// The non-columnar per-slot state, with allocations that last the

@@ -12,7 +12,7 @@
 //!
 //! The stage reads the capacitor, RTC, direct-pool and income-power
 //! columns and the node's curve and config; the budget efficiencies
-//! are per-run scalars set when the columns were scattered, so nothing
+//! are per-run scalars set when the columns were built, so nothing
 //! is stored per node here. There is no cross-node data flow, so the
 //! stage runs per shard, fused with wake into the slot's first pass.
 

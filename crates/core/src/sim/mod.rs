@@ -110,8 +110,8 @@ use crate::balance::{
 };
 use crate::metrics::NetworkMetrics;
 use crate::node::{NodeCapabilities, NodeConfig, SystemKind, TierCapabilities};
-use columns::NodeColumns;
-use ctx::{NodeSim, SlotCtx};
+use columns::{NodeCold, NodeColumns};
+use ctx::SlotCtx;
 use neofog_energy::{Rtc, Scenario, SuperCap, TraceGenerator};
 use neofog_net::slots::SlotSchedule;
 use neofog_net::{RoutePlan, TopologySpec};
@@ -392,7 +392,7 @@ impl Simulator {
             .map(|p| cfg.capabilities.for_tier(route.tier(p)))
             .collect();
         let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
-        let mut nodes = Vec::with_capacity(physical);
+        let mut nodes = NodeColumns::with_capacity(physical, cfg.node.front_end);
         for (p, &tier_caps) in caps.iter().enumerate() {
             for k in 0..cfg.multiplex {
                 let idx = nodes.len();
@@ -407,25 +407,17 @@ impl Simulator {
                     .with_leak(cfg.node.cap_leak)
                     .with_initial(cfg.node.cap_capacity * cfg.node.initial_charge);
                 let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
-                nodes.push(NodeSim {
+                let cold = NodeCold {
                     cfg: cfg.node,
-                    cap,
-                    rtc,
-                    curve,
-                    schedule,
-                    position: p,
-                    hops_to_sink: route.hops(p),
                     caps: tier_caps,
+                    curve,
                     pending: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     outbox: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     rng: rng.fork(idx as u64),
-                });
+                };
+                nodes.push_node(cap, rtc, schedule, p, route.hops(p), cold);
             }
         }
-        // Scatter the construction rows into the columnar layout the
-        // slot kernel sweeps (hot fields become dense arrays; queues,
-        // curves and RNG streams stay row-oriented).
-        let nodes = NodeColumns::scatter(nodes, cfg.node.front_end);
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
         let balancer = cfg.balancer.build(cfg.slot_len)?;
         let mut metrics = NetworkMetrics::new(physical);

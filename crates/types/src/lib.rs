@@ -33,7 +33,7 @@ pub mod rng;
 pub mod units;
 
 pub use error::NeoFogError;
-pub use id::{ChainId, LogicalId, NodeId, PacketId, TaskId};
+pub use id::{LogicalId, NodeId, PacketId, TaskId};
 pub use rng::SimRng;
 pub use units::{Duration, Energy, Power, SimTime};
 

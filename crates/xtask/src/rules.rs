@@ -373,16 +373,6 @@ pub const FILE_ALLOWS: &[FileAllow] = &[
     },
     FileAllow {
         rule: "NF-PANIC-003",
-        path: "crates/net/src/topology.rs",
-        reason: "chain-position access bounded by the chain length",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
-        path: "crates/net/src/routing.rs",
-        reason: "hop-path access bounded by the route it built",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
         path: "crates/nvp/src/spendthrift.rs",
         reason: "frequency-level table of fixed paper-given size",
     },

