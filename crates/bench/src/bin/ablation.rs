@@ -2,7 +2,7 @@
 //! time from the full NEOFog node and measure the in-fog impact.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::ablation_with;
+use neofog_core::experiment::ablation;
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
@@ -22,7 +22,7 @@ fn main() -> neofog_types::Result<()> {
         // Only the first scenario logs events — a second pass would
         // overwrite the file.
         let log = events.take();
-        let rows_data = ablation_with(
+        let rows_data = ablation(
             scenario,
             args.seed.unwrap_or(2),
             log.as_deref(),

@@ -2,7 +2,7 @@
 //! simulator constants can be tuned against the paper's targets.
 
 use neofog_bench::BenchArgs;
-use neofog_core::experiment::{average_row, figure10_11_with, multiplex_sweep_with};
+use neofog_core::experiment::{average_row, figure10_11, multiplex_sweep};
 use neofog_core::{NoProgress, StderrTicker};
 use neofog_energy::Scenario;
 
@@ -22,7 +22,7 @@ fn main() -> neofog_types::Result<()> {
         ),
     ] {
         println!("=== {name} ===  {targets}");
-        let rows = figure10_11_with(
+        let rows = figure10_11(
             scenario,
             &profiles,
             None,
@@ -62,7 +62,7 @@ fn main() -> neofog_types::Result<()> {
         ),
     ] {
         println!("=== {name} ===  {note}");
-        let (points, vp) = multiplex_sweep_with(
+        let (points, vp) = multiplex_sweep(
             sc,
             &[1, 2, 3, 4, 5],
             args.seed.unwrap_or(3),

@@ -2,7 +2,7 @@
 //! packages for five independent (forest) power profiles.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::{average_row, figure10_11_with};
+use neofog_core::experiment::{average_row, figure10_11};
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
@@ -13,7 +13,7 @@ fn main() -> neofog_types::Result<()> {
         "paper avg: VP 13656 wake / 2664 cloud; NVP 12383 / 3236 total (3045 fog); NEOFog 5582 total (5018 fog); ideal 15000",
     );
     let args = BenchArgs::parse_or_exit();
-    let rows_data = figure10_11_with(
+    let rows_data = figure10_11(
         Scenario::ForestIndependent,
         &[1, 2, 3, 4, 5],
         args.events.as_deref(),

@@ -2,7 +2,7 @@
 //! packages for five dependent (bridge) power profiles.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::{average_row, figure10_11_with};
+use neofog_core::experiment::{average_row, figure10_11};
 use neofog_core::report::render_table;
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
@@ -13,7 +13,7 @@ fn main() -> neofog_types::Result<()> {
         "paper avg: VP 13886 wake / 2494 cloud; NVP 12859 / 3439 total (3126 fog); NEOFog 6990 total (6418 fog); ideal 15000",
     );
     let args = BenchArgs::parse_or_exit();
-    let rows_data = figure10_11_with(
+    let rows_data = figure10_11(
         Scenario::BridgeDependent,
         &[1, 2, 3, 4, 5],
         args.events.as_deref(),

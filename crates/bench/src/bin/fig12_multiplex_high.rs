@@ -3,7 +3,7 @@
 //! because the in-fog processing rate is already high.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::multiplex_sweep_with;
+use neofog_core::experiment::multiplex_sweep;
 use neofog_core::report::{render_bars, render_table};
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
@@ -15,7 +15,7 @@ fn main() -> neofog_types::Result<()> {
     );
     let factors = [1u32, 2, 3, 4, 5];
     let args = BenchArgs::parse_or_exit();
-    let (points, vp) = multiplex_sweep_with(
+    let (points, vp) = multiplex_sweep(
         Scenario::MountainSunny,
         &factors,
         args.seed.unwrap_or(3),

@@ -4,7 +4,7 @@
 //! 3x as successful sampling tops out near 8000.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::multiplex_sweep_with;
+use neofog_core::experiment::multiplex_sweep;
 use neofog_core::report::{render_bars, render_table};
 use neofog_core::StderrTicker;
 use neofog_energy::Scenario;
@@ -16,7 +16,7 @@ fn main() -> neofog_types::Result<()> {
     );
     let factors = [1u32, 2, 3, 4, 5];
     let args = BenchArgs::parse_or_exit();
-    let (points, vp) = multiplex_sweep_with(
+    let (points, vp) = multiplex_sweep(
         Scenario::MountainRainy,
         &factors,
         args.seed.unwrap_or(3),

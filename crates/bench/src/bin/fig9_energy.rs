@@ -2,7 +2,7 @@
 //! chain nodes under the three systems over a 5-hour daytime window.
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::figure9_with;
+use neofog_core::experiment::figure9;
 use neofog_core::report::downsample;
 use neofog_core::StderrTicker;
 
@@ -14,7 +14,7 @@ fn main() -> neofog_types::Result<()> {
          doing fog work",
     );
     let args = BenchArgs::parse_or_exit();
-    let results = figure9_with(
+    let results = figure9(
         args.seed.unwrap_or(1),
         args.events.as_deref(),
         &args.pool(),

@@ -3,7 +3,7 @@
 //! and can increase this to 8X if virtualized nodes are 3X multiplexed."
 
 use neofog_bench::{banner, BenchArgs};
-use neofog_core::experiment::headline_with;
+use neofog_core::experiment::headline;
 use neofog_core::StderrTicker;
 
 fn main() -> neofog_types::Result<()> {
@@ -12,7 +12,7 @@ fn main() -> neofog_types::Result<()> {
         "4.2X in-fog at baseline; 8X at 3X multiplexing",
     );
     let args = BenchArgs::parse_or_exit();
-    let h = headline_with(
+    let h = headline(
         args.seed.unwrap_or(3),
         &args.pool(),
         &mut StderrTicker::new("headline"),

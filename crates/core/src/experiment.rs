@@ -4,15 +4,15 @@
 //! Batch execution itself lives in [`crate::runner`]: every helper
 //! here builds its configuration list and hands it to the
 //! work-stealing pool, collecting full results through the
-//! order-preserving [`CollectAll`] reducer. Each helper has a `_with`
-//! variant taking an explicit [`PoolConfig`] and [`Progress`] observer
-//! (the figure binaries wire `--workers` and a stderr ticker through
-//! these); the plain variants default to every available core and no
-//! progress output.
+//! order-preserving [`CollectAll`] reducer. Each helper takes the
+//! pool sizing ([`PoolConfig`]; `PoolConfig::default()` uses every
+//! available core) and a [`Progress`] observer (`&mut NoProgress` for
+//! none); the figure binaries wire `--workers` and a stderr ticker
+//! through them.
 
 use crate::metrics::NetworkMetrics;
 use crate::node::SystemKind;
-use crate::runner::{run_batch, CollectAll, NoProgress, PoolConfig, Progress};
+use crate::runner::{run_batch, CollectAll, PoolConfig, Progress};
 use crate::sim::{SimConfig, SimResult};
 use neofog_energy::Scenario;
 use neofog_types::{NeoFogError, Result};
@@ -61,10 +61,8 @@ pub struct ProfileRow {
 /// every full result in input order.
 ///
 /// This is a thin wrapper over [`run_batch`] with the [`CollectAll`]
-/// reducer, default pool sizing (every available core) and no progress
-/// output — see [`run_many_with`] to control either, and prefer a
-/// summarizing reducer (like the fleet's) when the batch is large and
-/// the full results are not needed.
+/// reducer; prefer a summarizing reducer (like the fleet's) when the
+/// batch is large and the full results are not needed.
 ///
 /// # Errors
 ///
@@ -72,16 +70,7 @@ pub struct ProfileRow {
 /// panics or a result goes missing, and propagates any
 /// [`crate::sim::Simulator::new`] configuration error (cancelling the
 /// rest of the batch).
-pub fn run_many(configs: &[SimConfig]) -> Result<Vec<SimResult>> {
-    run_many_with(configs, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`run_many`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Same as [`run_many`].
-pub fn run_many_with(
+pub fn run_many(
     configs: &[SimConfig],
     pool: &PoolConfig,
     progress: &mut dyn Progress,
@@ -110,25 +99,6 @@ pub fn figure10_11(
     scenario: Scenario,
     profiles: &[u64],
     events: Option<&str>,
-) -> Result<Vec<ProfileRow>> {
-    figure10_11_with(
-        scenario,
-        profiles,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`figure10_11`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn figure10_11_with(
-    scenario: Scenario,
-    profiles: &[u64],
-    events: Option<&str>,
     pool: &PoolConfig,
     progress: &mut dyn Progress,
 ) -> Result<Vec<ProfileRow>> {
@@ -141,7 +111,7 @@ pub fn figure10_11_with(
         })
         .collect();
     log_first_run(&mut configs, events);
-    let results = run_many_with(&configs, pool, progress)?;
+    let results = run_many(&configs, pool, progress)?;
     Ok(profiles
         .iter()
         .enumerate()
@@ -158,16 +128,26 @@ pub fn figure10_11_with(
 }
 
 /// Averages the per-system totals across profiles (the "Average"
-/// cluster of Figures 10/11).
+/// cluster of Figures 10/11), one summary per [`SystemKind::ALL`]
+/// entry in that order. Each row's summaries are matched by their
+/// `system` field, not by position, and a system is averaged over the
+/// rows that report it (all zero when none does).
 #[must_use]
 pub fn average_row(rows: &[ProfileRow]) -> Vec<SystemSummary> {
-    let n = rows.len().max(1) as u64;
-    (0..SystemKind::ALL.len())
-        .map(|si| SystemSummary {
-            system: SystemKind::ALL[si],
-            wakeups: rows.iter().map(|r| r.systems[si].wakeups).sum::<u64>() / n,
-            cloud: rows.iter().map(|r| r.systems[si].cloud).sum::<u64>() / n,
-            fog: rows.iter().map(|r| r.systems[si].fog).sum::<u64>() / n,
+    SystemKind::ALL
+        .iter()
+        .map(|&system| {
+            let found: Vec<&SystemSummary> = rows
+                .iter()
+                .filter_map(|r| r.systems.iter().find(|s| s.system == system))
+                .collect();
+            let n = (found.len() as u64).max(1);
+            SystemSummary {
+                system,
+                wakeups: found.iter().map(|s| s.wakeups).sum::<u64>() / n,
+                cloud: found.iter().map(|s| s.cloud).sum::<u64>() / n,
+                fog: found.iter().map(|s| s.fog).sum::<u64>() / n,
+            }
         })
         .collect()
 }
@@ -185,16 +165,7 @@ pub fn average_row(rows: &[ProfileRow]) -> Vec<SystemSummary> {
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn figure9(seed: u64, events: Option<&str>) -> Result<Vec<(&'static str, NetworkMetrics)>> {
-    figure9_with(seed, events, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`figure9`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn figure9_with(
+pub fn figure9(
     seed: u64,
     events: Option<&str>,
     pool: &PoolConfig,
@@ -225,7 +196,7 @@ pub fn figure9_with(
         })
         .collect();
     log_first_run(&mut configs, events);
-    Ok(run_many_with(&configs, pool, progress)?
+    Ok(run_many(&configs, pool, progress)?
         .into_iter()
         .zip(variants)
         .map(|(r, (label, _, _))| (label, r.metrics))
@@ -258,28 +229,6 @@ pub fn multiplex_sweep(
     factors: &[u32],
     seed: u64,
     events: Option<&str>,
-) -> Result<(Vec<MultiplexPoint>, u64)> {
-    multiplex_sweep_with(
-        scenario,
-        factors,
-        seed,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`multiplex_sweep`] with explicit pool sizing and a progress
-/// observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn multiplex_sweep_with(
-    scenario: Scenario,
-    factors: &[u32],
-    seed: u64,
-    events: Option<&str>,
     pool: &PoolConfig,
     progress: &mut dyn Progress,
 ) -> Result<(Vec<MultiplexPoint>, u64)> {
@@ -293,7 +242,7 @@ pub fn multiplex_sweep_with(
         .collect();
     configs.push(SimConfig::paper_default(SystemKind::NosVp, scenario, seed));
     log_first_run(&mut configs, events);
-    let mut results = run_many_with(&configs, pool, progress)?;
+    let mut results = run_many(&configs, pool, progress)?;
     let vp = results
         .pop()
         .ok_or_else(|| NeoFogError::internal("multiplex sweep lost its VP reference run"))?;
@@ -343,22 +292,7 @@ pub struct AblationRow {
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn ablation(scenario: Scenario, seed: u64, events: Option<&str>) -> Result<Vec<AblationRow>> {
-    ablation_with(
-        scenario,
-        seed,
-        events,
-        &PoolConfig::default(),
-        &mut NoProgress,
-    )
-}
-
-/// [`ablation`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn ablation_with(
+pub fn ablation(
     scenario: Scenario,
     seed: u64,
     events: Option<&str>,
@@ -404,7 +338,7 @@ pub fn ablation_with(
     let labels: Vec<String> = variants.iter().map(|(l, _)| l.clone()).collect();
     let mut configs: Vec<SimConfig> = variants.into_iter().map(|(_, c)| c).collect();
     log_first_run(&mut configs, events);
-    Ok(run_many_with(&configs, pool, progress)?
+    Ok(run_many(&configs, pool, progress)?
         .into_iter()
         .zip(labels)
         .map(|(r, label)| AblationRow {
@@ -420,22 +354,9 @@ pub fn ablation_with(
 /// # Errors
 ///
 /// Propagates [`run_many`] failures.
-pub fn headline(seed: u64) -> Result<Headline> {
-    headline_with(seed, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`headline`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`run_many`] failures.
-pub fn headline_with(
-    seed: u64,
-    pool: &PoolConfig,
-    progress: &mut dyn Progress,
-) -> Result<Headline> {
+pub fn headline(seed: u64, pool: &PoolConfig, progress: &mut dyn Progress) -> Result<Headline> {
     let (points, vp) =
-        multiplex_sweep_with(Scenario::MountainRainy, &[1, 3], seed, None, pool, progress)?;
+        multiplex_sweep(Scenario::MountainRainy, &[1, 3], seed, None, pool, progress)?;
     let vp = vp.max(1) as f64;
     let [one, three] = points.as_slice() else {
         return Err(NeoFogError::internal(
@@ -451,6 +372,7 @@ pub fn headline_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::NoProgress;
     use crate::sim::Simulator;
 
     fn shrink(cfg: &mut SimConfig) {
@@ -464,7 +386,8 @@ mod tests {
             SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 1);
         shrink(&mut a);
         shrink(&mut b);
-        let results = run_many(&[a, b]).expect("batch runs");
+        let results =
+            run_many(&[a, b], &PoolConfig::default(), &mut NoProgress).expect("batch runs");
         assert_eq!(results[0].config.system, SystemKind::NosVp);
         assert_eq!(results[1].config.system, SystemKind::FiosNeoFog);
     }
@@ -475,7 +398,9 @@ mod tests {
             SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 7);
         shrink(&mut cfg);
         let serial = Simulator::new(cfg.clone()).expect("config is valid").run();
-        let parallel = run_many(&[cfg.clone()]).expect("batch runs").remove(0);
+        let parallel = run_many(&[cfg.clone()], &PoolConfig::default(), &mut NoProgress)
+            .expect("batch runs")
+            .remove(0);
         assert_eq!(serial.metrics, parallel.metrics);
     }
 
@@ -533,5 +458,54 @@ mod tests {
         assert_eq!(avg[0].wakeups, 15);
         assert_eq!(avg[0].cloud, 6);
         assert_eq!(avg[2].fog, 10);
+    }
+
+    fn summary(system: SystemKind, wakeups: u64) -> SystemSummary {
+        SystemSummary {
+            system,
+            wakeups,
+            cloud: wakeups / 2,
+            fog: wakeups / 4,
+        }
+    }
+
+    #[test]
+    fn average_row_skips_systems_a_short_row_lacks() {
+        let rows = vec![
+            ProfileRow {
+                profile: 1,
+                systems: vec![summary(SystemKind::NosVp, 12)],
+            },
+            ProfileRow {
+                profile: 2,
+                systems: vec![
+                    summary(SystemKind::NosVp, 20),
+                    summary(SystemKind::NosNvp, 40),
+                ],
+            },
+        ];
+        let avg = average_row(&rows);
+        let systems: Vec<SystemKind> = avg.iter().map(|s| s.system).collect();
+        assert_eq!(systems, SystemKind::ALL);
+        assert_eq!(avg[0], summary(SystemKind::NosVp, 16));
+        assert_eq!(avg[1], summary(SystemKind::NosNvp, 40));
+        assert_eq!(avg[2], summary(SystemKind::FiosNeoFog, 0));
+    }
+
+    #[test]
+    fn average_row_matches_systems_by_field_not_position() {
+        let in_order = ProfileRow {
+            profile: 1,
+            systems: SystemKind::ALL
+                .iter()
+                .zip([8, 16, 32])
+                .map(|(&system, wakeups)| summary(system, wakeups))
+                .collect(),
+        };
+        let mut reordered = in_order.clone();
+        reordered.profile = 2;
+        reordered.systems.reverse();
+        let avg = average_row(&[in_order.clone(), reordered]);
+        assert_eq!(avg, in_order.systems);
     }
 }

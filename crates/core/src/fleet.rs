@@ -7,7 +7,7 @@
 //! information is shown as the presented example in the paper for
 //! simplicity."
 //!
-//! [`run_fleet`] simulates many independent chains on the
+//! [`run_fleet_with`] simulates many independent chains on the
 //! work-stealing pool (each chain seeded differently, exactly like the
 //! paper's per-node power inputs) and aggregates the distribution of
 //! per-chain outcomes, so the 10-node figures can be read as one draw
@@ -31,7 +31,7 @@
 //!
 //! [`Simulator`]: crate::sim::Simulator
 
-use crate::runner::{run_batch, NoProgress, PoolConfig, Progress, Reduce};
+use crate::runner::{run_batch, PoolConfig, Progress, Reduce};
 use crate::sim::{SimConfig, SimResult};
 use neofog_types::{NeoFogError, Result};
 use serde::{Deserialize, Serialize};
@@ -144,7 +144,7 @@ impl ChainSummary {
     }
 }
 
-/// The streaming reducer behind [`run_fleet`]: folds each chain's
+/// The streaming reducer behind [`run_fleet_with`]: folds each chain's
 /// [`ChainSummary`] into three per-chain value vectors (for the
 /// [`FleetStat`] percentiles) and a running network-wide sum.
 ///
@@ -182,10 +182,8 @@ impl Reduce for FleetReducer {
 }
 
 /// Runs `chains` independent copies of `base` (seeded `base.seed`,
-/// `base.seed + 1`, …) on the work-stealing pool and aggregates.
-///
-/// Uses default pool sizing (every available core) and no progress
-/// output; see [`run_fleet_with`] to control either.
+/// `base.seed + 1`, …) on the work-stealing pool sized by `pool` and
+/// aggregates, reporting each finished chain to `progress`.
 ///
 /// # Errors
 ///
@@ -195,7 +193,8 @@ impl Reduce for FleetReducer {
 /// # Examples
 ///
 /// ```
-/// use neofog_core::fleet::run_fleet;
+/// use neofog_core::fleet::run_fleet_with;
+/// use neofog_core::runner::{NoProgress, PoolConfig};
 /// use neofog_core::sim::SimConfig;
 /// use neofog_core::SystemKind;
 /// use neofog_energy::Scenario;
@@ -206,19 +205,11 @@ impl Reduce for FleetReducer {
 ///     1,
 /// );
 /// base.slots = 50;
-/// let fleet = run_fleet(&base, 20).expect("fleet runs"); // 200 nodes
+/// let fleet = run_fleet_with(&base, 20, &PoolConfig::default(), &mut NoProgress)
+///     .expect("fleet runs"); // 200 nodes
 /// assert_eq!(fleet.chains, 20);
 /// assert!(fleet.fog.p90 >= fleet.fog.p10);
 /// ```
-pub fn run_fleet(base: &SimConfig, chains: usize) -> Result<FleetResult> {
-    run_fleet_with(base, chains, &PoolConfig::default(), &mut NoProgress)
-}
-
-/// [`run_fleet`] with explicit pool sizing and a progress observer.
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
 pub fn run_fleet_with(
     base: &SimConfig,
     chains: usize,
@@ -250,7 +241,12 @@ pub fn run_fleet_with(
 mod tests {
     use super::*;
     use crate::node::SystemKind;
+    use crate::runner::NoProgress;
     use neofog_energy::Scenario;
+
+    fn run_default_pool(base: &SimConfig, chains: usize) -> Result<FleetResult> {
+        run_fleet_with(base, chains, &PoolConfig::default(), &mut NoProgress)
+    }
 
     fn base(slots: u64) -> SimConfig {
         let mut cfg =
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn fleet_counts_nodes() {
-        let fleet = run_fleet(&base(40), 8).expect("fleet runs");
+        let fleet = run_default_pool(&base(40), 8).expect("fleet runs");
         assert_eq!(fleet.chains, 8);
         assert_eq!(fleet.nodes, 80);
         assert!(fleet.fog_sum > 0);
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn chains_vary_but_cluster() {
-        let fleet = run_fleet(&base(120), 16).expect("fleet runs");
+        let fleet = run_default_pool(&base(120), 16).expect("fleet runs");
         // Independent seeds: some spread, but the population clusters
         // (p90 within ~3x of p10 for this scenario).
         assert!(fleet.fog.max > fleet.fog.min, "no variation is suspicious");
@@ -327,13 +323,13 @@ mod tests {
 
     #[test]
     fn fleet_is_deterministic() {
-        let a = run_fleet(&base(40), 6).expect("fleet runs");
-        let b = run_fleet(&base(40), 6).expect("fleet runs");
+        let a = run_default_pool(&base(40), 6).expect("fleet runs");
+        let b = run_default_pool(&base(40), 6).expect("fleet runs");
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_chains_rejected() {
-        assert!(run_fleet(&base(10), 0).is_err());
+        assert!(run_default_pool(&base(10), 0).is_err());
     }
 }

@@ -15,22 +15,21 @@
 //! scratch), and the workspace forbids `unsafe`, so a persistent
 //! worker pool cannot hold them across calls; [`std::thread::scope`]
 //! is the sanctioned safe mechanism. Spawn cost is paid per fork —
-//! a few microseconds per thread. Unobserved, the slot kernel forks
-//! once per barrier-delimited pass, two or three times a slot (its
-//! phases between barriers run fused; see `sim/shard.rs`), so the cost
-//! is amortized over passes that walk tens of thousands of nodes per
-//! shard; an observed slot forks once per phase stage. The first task always
-//! runs inline on the calling thread, so a one-task fork (the slot
-//! kernel's serial path) spawns nothing and allocates nothing, and an
-//! `n`-task fork spawns `n − 1` threads while the caller works
-//! instead of idling at the join.
+//! a few microseconds per thread. The slot kernel forks once per
+//! barrier-delimited pass, two or three times a slot (its phases
+//! between barriers run fused; see `sim/shard.rs`), so the cost is
+//! amortized over passes that walk tens of thousands of nodes per
+//! shard. The first task always runs inline on the calling thread, so
+//! a one-task fork (the slot kernel's serial path) spawns nothing and
+//! allocates nothing, and an `n`-task fork spawns `n − 1` threads
+//! while the caller works instead of idling at the join.
 //!
 //! Determinism contract: tasks share no mutable state (each owns
 //! disjoint `&mut` shard slices), so scheduling order is unobservable;
-//! ordered output is restored by the caller splicing per-shard event
-//! buffers in shard order after the join. The NF-PAR lint rules root
-//! here (and at the shard sweeps), flagging interior mutability or
-//! unordered iteration reachable from any forked task.
+//! ordered output is restored by the caller replaying per-shard event
+//! buffers in stage, then shard order after the join. The NF-PAR lint
+//! rules root here (and at the shard sweeps), flagging interior
+//! mutability or unordered iteration reachable from any forked task.
 //!
 //! [`Simulator`]: crate::sim::Simulator
 

@@ -62,9 +62,11 @@
 //! For any one node the fused order *is* the phase order, so its `f64`
 //! counter order is unchanged; cross-node counters (deliveries by
 //! origin, network totals) are `u64`, and per-node RNG streams are
-//! node-local, so the fused schedule is exact. While an observer
-//! records, the same stages run one pass each in phase order instead,
-//! so event logs keep their phase-major order (see `sim/shard.rs`).
+//! node-local, so the fused schedule is exact. It is the only
+//! schedule: observed runs take it too. Each recorded event carries
+//! the index of the stage that emitted it, and the coordinator replays
+//! a pass's events stage-major, so event logs keep their phase-major
+//! order (see `sim/shard.rs`).
 //!
 //! # Counters and events
 //!

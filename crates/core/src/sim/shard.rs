@@ -16,17 +16,13 @@
 //!
 //! * **Passes per barrier** — a slot has only two cross-node barriers:
 //!   the serial balancer call (fog systems with a balancer) and the
-//!   transmit relay fold, which needs every shard's sends. With no
-//!   observer listening, [`run_stages`] fuses every stage between two
-//!   barriers into one pass, so each node's cold row and queues are
-//!   fetched from memory once per barrier rather than once per phase.
-//!   Each node still sees its stages in phase order, so its `f64`
-//!   counter order is unchanged; the spill and network counters are
-//!   `u64`, and per-node RNG streams are node-local.
-//! * **Per-stage when observed** — while an observer listens, the same
-//!   stages run one pass each, in phase order, so the recorded event
-//!   stream keeps its phase-major order and one phase's events at a
-//!   time are buffered.
+//!   transmit relay fold, which needs every shard's sends.
+//!   [`run_stages`] fuses every stage between two barriers into one
+//!   pass, so each node's cold row and queues are fetched from memory
+//!   once per barrier rather than once per phase. Each node still sees
+//!   its stages in phase order, so its `f64` counter order is
+//!   unchanged; the spill and network counters are `u64`, and per-node
+//!   RNG streams are node-local.
 //! * **Position alignment** — physical nodes are laid out
 //!   position-major (position `p` owns indices
 //!   `p·M .. (p+1)·M` for multiplex `M`), and two transmit-stage
@@ -40,17 +36,20 @@
 //!   aligned with the column shards). `sink.emit(e)` applies the
 //!   event's counter arithmetic to its row in place; each node's `f64`
 //!   operations keep their serial order, so the metrics are
-//!   bit-identical at every thread count and under either schedule.
-//!   Deliveries and losses are keyed by the package's `origin`, which
-//!   balancing can place in another shard; those go to a small
-//!   per-shard spill buffer the coordinator applies after the join
-//!   (integer counters — exact in any order).
+//!   bit-identical at every thread count. Deliveries and losses are
+//!   keyed by the package's `origin`, which balancing can place in
+//!   another shard; those go to a small per-shard spill buffer the
+//!   coordinator applies after the join (integer counters — exact in
+//!   any order).
 //! * **Events on demand** — a sink records events only while an
-//!   observer is attached (event log, debug ledger, `attach_observer`).
-//!   After the join the coordinator replays the buffers in ascending
-//!   shard order; every stage emits in ascending node index within its
-//!   shard, so the replayed stream is byte-identical to the serial
-//!   sweep's. With no observer nothing is built, buffered or replayed.
+//!   observer is attached (event log, debug ledger, `attach_observer`),
+//!   each tagged with the index of the stage in its group that emitted
+//!   it. After the join the coordinator replays the buffers
+//!   stage-major, then in ascending shard order, then in recorded
+//!   order; every stage emits in ascending node index within its
+//!   shard, so the replayed stream is byte-identical to a serial sweep
+//!   that ran each phase over the whole fleet in turn. With no
+//!   observer nothing is built, buffered or replayed.
 //! * **Scratch discipline** — shard scratch (event and spill buffers,
 //!   package scratch) is owned by [`SlotCtx`] and reused across slots,
 //!   preserving the steady-state zero-allocation discipline per
@@ -73,9 +72,10 @@ use neofog_types::{Energy, Power};
 /// once; the steady-state loop only refills it.
 #[derive(Default)]
 pub(crate) struct ShardScratch {
-    /// Events recorded by this shard's sweep while observers listen,
-    /// replayed in shard order after the join.
-    pub(crate) events: Vec<SimEvent>,
+    /// Events recorded by this shard's pass while observers listen,
+    /// each with the index of the stage in its group that emitted it;
+    /// replayed stage-major, then in shard order, after the join.
+    pub(crate) events: Vec<(u8, SimEvent)>,
     /// Origin-keyed events (deliveries, losses) whose counter row
     /// lies in another shard, applied by the coordinator after the
     /// join.
@@ -90,13 +90,11 @@ pub(crate) struct ShardScratch {
 
 impl ShardScratch {
     /// A scratch pre-sized for `nodes_per_shard` nodes, so warm-up
-    /// fills rather than grows the buffers.
+    /// fills rather than grows the buffers. The event buffer is left
+    /// empty: only an observed run records, and [`run_stages`] sizes it
+    /// for a whole stage group when it does.
     pub(crate) fn warmed(nodes_per_shard: usize) -> Self {
         let mut scratch = ShardScratch::default();
-        // Two events per node covers the release-build worst case of
-        // any single phase (harvest: booked + overflow); debug builds
-        // grow once more for the ledger settlements.
-        scratch.events.reserve(2 * nodes_per_shard);
         // Cross-shard deliveries are a subset of the shard's own, which
         // run at about one per node and slot in steady state.
         scratch.spill.reserve(nodes_per_shard);
@@ -122,14 +120,17 @@ pub(crate) struct ShardWork<'a> {
 
 /// A shard's write path for counters and events: folds every event
 /// into the shard's own [`NodeMetrics`] rows, spills origin-keyed
-/// events that belong to another shard, and records the event only
-/// when observers listen.
+/// events that belong to another shard, and records the event, tagged
+/// with the emitting stage, only when observers listen.
 pub(crate) struct ShardSink<'a> {
     /// Global index of the shard's first physical node (`rows[0]`).
     base: usize,
+    /// Index, within the running group, of the stage now emitting
+    /// (advanced by the `(A, B)` pair between its halves).
+    stage: u8,
     rows: &'a mut [NodeMetrics],
     spill: &'a mut Vec<SimEvent>,
-    events: Option<&'a mut Vec<SimEvent>>,
+    events: Option<&'a mut Vec<(u8, SimEvent)>>,
 }
 
 impl ShardSink<'_> {
@@ -145,7 +146,7 @@ impl ShardSink<'_> {
             }
         }
         if let Some(events) = self.events.as_deref_mut() {
-            events.push(event);
+            events.push((self.stage, event));
         }
     }
 
@@ -361,6 +362,7 @@ impl<'a> Iterator for ShardIter<'a> {
         };
         let sink = ShardSink {
             base: self.base,
+            stage: 0,
             rows: take_mut(&mut self.rows, take),
             spill,
             events: self.record.then_some(events),
@@ -388,15 +390,21 @@ pub(crate) trait Sweep: Sync {
 /// node — which is how [`run_stages`] fuses the phases between two
 /// barriers into one pass.
 pub(crate) trait Stage: Sync {
+    /// Phase bodies in the group: 1 for a single stage, the sum of
+    /// both halves for a pair. Recorded events carry their stage's
+    /// index in `0..STAGES`.
+    const STAGES: u8 = 1;
+
     /// Per-shard prologue, before the shard's first node.
     fn begin_shard(&self, _work: &mut ShardWork<'_>) {}
 
     /// The phase body for one node, emitting through `sink`.
     ///
-    /// Implementations are `#[inline(always)]`: out of line, a stage
-    /// run as its own pass receives its row lens through memory, one
-    /// call per node, which measured 20–30 % slower per observed pass
-    /// at 10⁵ nodes.
+    /// Implementations are `#[inline(always)]`: a body the compiler
+    /// leaves out of line receives the row lens through memory, one
+    /// call per node and stage, which measured 20–30 % slower on
+    /// single-stage passes at 10⁵ nodes (EXPERIMENTS.md "Passes per
+    /// barrier").
     fn node_sweep(
         &self,
         view: &mut NodeView<'_>,
@@ -407,18 +415,11 @@ pub(crate) trait Stage: Sync {
 
     /// Per-shard epilogue, after the shard's last node.
     fn end_shard(&self, _work: &mut ShardWork<'_>) {}
-
-    /// Drives every stage in the group as its own pass, in phase
-    /// order — the schedule while observers record.
-    fn drive_each(&self, parts: &mut SimParts<'_>, ctx: &mut SlotCtx)
-    where
-        Self: Sized,
-    {
-        drive(parts, ctx, &Pass(self));
-    }
 }
 
 impl<A: Stage, B: Stage> Stage for (A, B) {
+    const STAGES: u8 = A::STAGES + B::STAGES;
+
     fn begin_shard(&self, work: &mut ShardWork<'_>) {
         self.0.begin_shard(work);
         self.1.begin_shard(work);
@@ -433,17 +434,14 @@ impl<A: Stage, B: Stage> Stage for (A, B) {
         sink: &mut ShardSink<'_>,
     ) {
         self.0.node_sweep(view, ledger, work, sink);
+        sink.stage += A::STAGES;
         self.1.node_sweep(view, ledger, work, sink);
+        sink.stage -= A::STAGES;
     }
 
     fn end_shard(&self, work: &mut ShardWork<'_>) {
         self.0.end_shard(work);
         self.1.end_shard(work);
-    }
-
-    fn drive_each(&self, parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
-        self.0.drive_each(parts, ctx);
-        self.1.drive_each(parts, ctx);
     }
 }
 
@@ -467,46 +465,56 @@ impl<S: Stage> Sweep for Pass<'_, S> {
     }
 }
 
-/// Runs the stage group `stages` over the fleet: fused into one pass
-/// when no observer records, else one pass per stage in phase order.
+/// Runs the stage group `stages` over the whole fleet as one fused
+/// pass — one shard per warmed shard scratch, the first inline on the
+/// calling thread (so the serial path never spawns) — then
+/// [`settle`]s the shards.
 pub(crate) fn run_stages<S: Stage>(parts: &mut SimParts<'_>, ctx: &mut SlotCtx, stages: &S) {
-    if parts.observers.is_empty() {
-        drive(parts, ctx, &Pass(stages));
-    } else {
-        stages.drive_each(parts, ctx);
-    }
-}
-
-/// Runs `sweep` over the whole fleet — one shard per warmed shard
-/// scratch, the first inline on the calling thread (so the serial
-/// path never spawns) — then [`settle`]s the shards.
-pub(crate) fn drive<S: Sweep>(parts: &mut SimParts<'_>, ctx: &mut SlotCtx, sweep: &S) {
     let record = !parts.observers.is_empty();
+    if record {
+        // Two events per node and stage cover the release-build worst
+        // case (harvest: booked + overflow); debug builds grow once
+        // more for the ledger settlements. A no-op once warm.
+        let group = 2 * usize::from(S::STAGES) * ctx.nodes_per_shard;
+        for scratch in &mut ctx.shards {
+            scratch.events.reserve(group);
+        }
+    }
+    let pass = &Pass(stages);
     fork_join(
         ShardIter::new(parts.nodes, ctx, &mut parts.metrics.nodes, record).map(
-            |(mut shard, mut work, mut sink)| move || sweep.sweep(&mut shard, &mut work, &mut sink),
+            |(mut shard, mut work, mut sink)| move || pass.sweep(&mut shard, &mut work, &mut sink),
         ),
     );
-    settle(&mut ctx.shards, parts.metrics, parts.observers);
+    settle(&mut ctx.shards, S::STAGES, parts.metrics, parts.observers);
 }
 
 /// After the join: applies each shard's cross-shard spill to its
-/// counter rows, then replays (and clears) the recorded events in
-/// ascending shard order — the replayed stream equals the serial
-/// emission sequence.
-pub(crate) fn settle(
+/// counter rows, then replays (and clears) the recorded events
+/// stage-major, then in ascending shard order, then in recorded order
+/// — the sequence a serial kernel running each of the group's
+/// `stages` over the whole fleet in turn would emit.
+fn settle(
     scratches: &mut [ShardScratch],
+    stages: u8,
     metrics: &mut NetworkMetrics,
     observers: &mut Observers,
 ) {
-    for scratch in scratches {
+    for scratch in scratches.iter_mut() {
         for event in scratch.spill.drain(..) {
             if let Some(row) = event.counter_row().and_then(|n| metrics.nodes.get_mut(n)) {
                 fold_node(row, &event);
             }
         }
-        for event in scratch.events.drain(..) {
-            observers.on_event(&event);
+    }
+    for stage in 0..stages {
+        for scratch in scratches.iter() {
+            for (_, event) in scratch.events.iter().filter(|(tag, _)| *tag == stage) {
+                observers.on_event(event);
+            }
         }
+    }
+    for scratch in scratches {
+        scratch.events.clear();
     }
 }

@@ -26,9 +26,9 @@
 //! the serial path is the same sequence over one full-range shard:
 //!
 //! 1. **Send** — [`SendStage`], the last stage of the slot's first
-//!    pass (fused behind harvest → wake → exec → shed when no observer
-//!    records). The `forward_bytes[position]` marks are the only
-//!    per-position writes, and shard boundaries are position-aligned,
+//!    pass (fused behind harvest → wake → exec → shed). The
+//!    `forward_bytes[position]` marks are the only per-position
+//!    writes, and shard boundaries are position-aligned,
 //!    so each shard owns a disjoint `forward_bytes` segment
 //!    ([`ShardWork::forward`]). Its per-shard epilogue totals the
 //!    segment into the shard's `fold_total`.
@@ -50,9 +50,9 @@
 //!    representative: it takes the position's duty bytes and pays the
 //!    charge, and the write stays shard-local.
 //!
-//! When observers record, each stage is its own pass and its events
-//! are replayed after its join, which reproduces the serial sequence:
-//! all session/packet events in node order, then all relay charges in
+//! When observers record, each pass's events are replayed stage-major
+//! after its join, which reproduces the serial sequence: all
+//! session/packet events in node order, then all relay charges in
 //! position order.
 
 use super::columns::NodeView;

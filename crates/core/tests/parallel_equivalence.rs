@@ -4,19 +4,22 @@
 //!
 //! The shard layer (see `sim/shard.rs`) argues this analytically —
 //! position-aligned shards share no mutable state, per-shard event
-//! buffers splice back in node order, and the chain relay fold is an
-//! exact `u64` suffix-sum decomposition. This file checks the claim
-//! empirically: a fixed matrix of topology × multiplex × thread-count
-//! cases, plus a proptest sweeping random fleets, topologies and shard
-//! counts 1..=16. The counters are compared on the default path too —
-//! no event log, no observer — where the shards record no events and
-//! the kernel's sinks are the only writers of `SimResult::metrics`.
+//! buffers replay stage by stage in node order, and the chain relay
+//! fold is an exact `u64` suffix-sum decomposition. This file checks
+//! the claim empirically: a fixed matrix of topology × multiplex ×
+//! thread-count cases, plus a proptest sweeping random fleets,
+//! topologies and shard counts 1..=16. The counters are compared on
+//! the default path too — no event log, no observer — where the
+//! shards record no events and the kernel's sinks are the only
+//! writers of `SimResult::metrics`.
 //!
-//! The schedule is checked as well: with no observer the kernel fuses
-//! each barrier's phases into one pass per shard, while an attached
-//! observer keeps one pass per phase. Both must leave the same node
-//! state and counters. Debug builds always attach the conservation
-//! `LedgerObserver`, so only release builds exercise the fused side.
+//! Recording is checked as well: the kernel fuses each barrier's
+//! phases into one pass per shard whether or not an observer listens,
+//! and an attached observer only makes the shard sinks record (and the
+//! coordinator replay) events. A run with an observer and one without
+//! must leave the same node state and counters. Debug builds always
+//! attach the conservation `LedgerObserver`, so only release builds
+//! exercise the unrecorded side.
 
 use neofog_core::sim::{BalancerKind, SimConfig, SimEvent, SimObserver, Simulator};
 use neofog_core::{NetworkMetrics, SystemKind};
@@ -239,8 +242,8 @@ proptest! {
     }
 }
 
-/// An observer that ignores every event: attaching it only switches
-/// the kernel to the per-stage schedule.
+/// An observer that ignores every event: attaching it only makes the
+/// shard sinks record events for replay.
 struct Silent;
 
 impl SimObserver for Silent {
@@ -263,11 +266,11 @@ fn digest_and_metrics(cfg: SimConfig, observed: bool) -> (u64, NetworkMetrics) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Fused passes (no observer) and per-stage passes (an observer
-    /// attached) agree on every topology, balancer, system, multiplex
-    /// factor and thread count, stored-energy series included.
+    /// Runs without an observer and runs that record events for one
+    /// agree on every topology, balancer, system, multiplex factor and
+    /// thread count, stored-energy series included.
     #[test]
-    fn fused_passes_match_per_stage_passes(
+    fn recording_events_changes_no_state(
         positions in 4usize..14,
         multiplex_pick in 0u8..2,
         threads in 1usize..9,
@@ -293,10 +296,10 @@ proptest! {
             BalancerKind::Distributed,
             BalancerKind::Offload,
         ][usize::from(balancer_pick)];
-        let (fused_digest, fused) = digest_and_metrics(cfg.clone(), false);
-        let (staged_digest, staged) = digest_and_metrics(cfg, true);
-        prop_assert!(staged.total_wakeups() > 0, "nothing happened");
-        prop_assert_eq!(fused_digest, staged_digest, "node state diverged");
-        prop_assert_eq!(fused, staged, "counters diverged");
+        let (plain_digest, plain) = digest_and_metrics(cfg.clone(), false);
+        let (observed_digest, observed) = digest_and_metrics(cfg, true);
+        prop_assert!(observed.total_wakeups() > 0, "nothing happened");
+        prop_assert_eq!(plain_digest, observed_digest, "node state diverged");
+        prop_assert_eq!(plain, observed, "counters diverged");
     }
 }

@@ -3,10 +3,8 @@
 //! run serially, at every worker count, because the coordinator folds
 //! strictly in job-index order.
 
-use neofog_core::experiment::{
-    ablation_with, figure10_11_with, figure9_with, multiplex_sweep_with, run_many, run_many_with,
-};
-use neofog_core::fleet::{run_fleet, run_fleet_with, FleetReducer};
+use neofog_core::experiment::{ablation, figure10_11, figure9, multiplex_sweep, run_many};
+use neofog_core::fleet::{run_fleet_with, FleetReducer};
 use neofog_core::runner::{NoProgress, PoolConfig, Progress, Reduce};
 use neofog_core::sim::SimConfig;
 use neofog_core::SystemKind;
@@ -22,10 +20,9 @@ fn quick(seed: u64, slots: u64) -> SimConfig {
 #[test]
 fn parallel_matches_serial_across_worker_counts() {
     let configs: Vec<SimConfig> = (0..6).map(|k| quick(k, 60)).collect();
-    let serial =
-        run_many_with(&configs, &PoolConfig::with_workers(1), &mut NoProgress).expect("serial");
+    let serial = run_many(&configs, &PoolConfig::with_workers(1), &mut NoProgress).expect("serial");
     for workers in [2, 8] {
-        let parallel = run_many_with(
+        let parallel = run_many(
             &configs,
             &PoolConfig::with_workers(workers),
             &mut NoProgress,
@@ -33,7 +30,8 @@ fn parallel_matches_serial_across_worker_counts() {
         .expect("parallel");
         assert_eq!(serial, parallel, "workers={workers} diverged from serial");
     }
-    assert_eq!(serial, run_many(&configs).expect("default pool"));
+    let default_pool = run_many(&configs, &PoolConfig::default(), &mut NoProgress);
+    assert_eq!(serial, default_pool.expect("default pool"));
 }
 
 #[test]
@@ -48,18 +46,18 @@ fn mixed_duration_batch_preserves_input_order() {
         .enumerate()
         .map(|(k, &s)| quick(k as u64, s))
         .collect();
-    let results = run_many_with(&configs, &PoolConfig::with_workers(3), &mut NoProgress)
+    let results = run_many(&configs, &PoolConfig::with_workers(3), &mut NoProgress)
         .expect("mixed batch runs");
     let got: Vec<u64> = results.iter().map(|r| r.config.slots).collect();
     assert_eq!(got, slots);
-    let serial =
-        run_many_with(&configs, &PoolConfig::with_workers(1), &mut NoProgress).expect("serial");
+    let serial = run_many(&configs, &PoolConfig::with_workers(1), &mut NoProgress).expect("serial");
     assert_eq!(serial, results);
 }
 
 #[test]
 fn fleet_with_one_chain_is_degenerate() {
-    let fleet = run_fleet(&quick(3, 40), 1).expect("one-chain fleet runs");
+    let fleet = run_fleet_with(&quick(3, 40), 1, &PoolConfig::default(), &mut NoProgress)
+        .expect("one-chain fleet runs");
     assert_eq!(fleet.chains, 1);
     for stat in [&fleet.fog, &fleet.total, &fleet.captured] {
         assert_eq!(stat.mean, stat.min);
@@ -90,7 +88,8 @@ fn fleet_identical_across_worker_counts() {
     let eight = run_fleet_with(&base, 12, &PoolConfig::with_workers(8), &mut NoProgress)
         .expect("8 workers");
     assert_eq!(one, eight);
-    assert_eq!(one, run_fleet(&base, 12).expect("default pool"));
+    let default_pool = run_fleet_with(&base, 12, &PoolConfig::default(), &mut NoProgress);
+    assert_eq!(one, default_pool.expect("default pool"));
 }
 
 #[test]
@@ -98,11 +97,11 @@ fn figure_helpers_identical_across_worker_counts() {
     let w1 = PoolConfig::with_workers(1);
     let w8 = PoolConfig::with_workers(8);
 
-    let fig9_serial = figure9_with(1, None, &w1, &mut NoProgress).expect("figure9 serial");
-    let fig9_parallel = figure9_with(1, None, &w8, &mut NoProgress).expect("figure9 parallel");
+    let fig9_serial = figure9(1, None, &w1, &mut NoProgress).expect("figure9 serial");
+    let fig9_parallel = figure9(1, None, &w8, &mut NoProgress).expect("figure9 parallel");
     assert_eq!(fig9_serial, fig9_parallel);
 
-    let sweep_serial = multiplex_sweep_with(
+    let sweep_serial = multiplex_sweep(
         Scenario::MountainRainy,
         &[1, 2],
         3,
@@ -111,7 +110,7 @@ fn figure_helpers_identical_across_worker_counts() {
         &mut NoProgress,
     )
     .expect("sweep serial");
-    let sweep_parallel = multiplex_sweep_with(
+    let sweep_parallel = multiplex_sweep(
         Scenario::MountainRainy,
         &[1, 2],
         3,
@@ -122,7 +121,7 @@ fn figure_helpers_identical_across_worker_counts() {
     .expect("sweep parallel");
     assert_eq!(sweep_serial, sweep_parallel);
 
-    let fig10_serial = figure10_11_with(
+    let fig10_serial = figure10_11(
         Scenario::ForestIndependent,
         &[1],
         None,
@@ -130,7 +129,7 @@ fn figure_helpers_identical_across_worker_counts() {
         &mut NoProgress,
     )
     .expect("fig10 serial");
-    let fig10_parallel = figure10_11_with(
+    let fig10_parallel = figure10_11(
         Scenario::ForestIndependent,
         &[1],
         None,
@@ -140,9 +139,9 @@ fn figure_helpers_identical_across_worker_counts() {
     .expect("fig10 parallel");
     assert_eq!(fig10_serial, fig10_parallel);
 
-    let ablation_serial = ablation_with(Scenario::MountainRainy, 2, None, &w1, &mut NoProgress)
-        .expect("ablation serial");
-    let ablation_parallel = ablation_with(Scenario::MountainRainy, 2, None, &w8, &mut NoProgress)
+    let ablation_serial =
+        ablation(Scenario::MountainRainy, 2, None, &w1, &mut NoProgress).expect("ablation serial");
+    let ablation_parallel = ablation(Scenario::MountainRainy, 2, None, &w8, &mut NoProgress)
         .expect("ablation parallel");
     assert_eq!(ablation_serial, ablation_parallel);
 }
@@ -154,7 +153,7 @@ fn error_cancels_whole_batch() {
     let mut bad = quick(2, 40);
     bad.slot_len = neofog_types::Duration::from_micros(250_000);
     let configs = vec![quick(0, 40), quick(1, 40), bad, quick(3, 40)];
-    let err = run_many_with(&configs, &PoolConfig::with_workers(2), &mut NoProgress)
+    let err = run_many(&configs, &PoolConfig::with_workers(2), &mut NoProgress)
         .expect_err("invalid config fails the batch");
     assert!(
         matches!(err, neofog_types::NeoFogError::InvalidConfig { .. }),
@@ -187,7 +186,7 @@ impl Progress for CountingProgress {
 fn progress_observer_sees_every_job() {
     let configs: Vec<SimConfig> = (0..7).map(|k| quick(k, 30)).collect();
     let mut progress = CountingProgress::default();
-    run_many_with(&configs, &PoolConfig::with_workers(3), &mut progress).expect("batch runs");
+    run_many(&configs, &PoolConfig::with_workers(3), &mut progress).expect("batch runs");
     assert_eq!(progress.started, configs.len());
     assert_eq!(progress.finished, configs.len());
 }

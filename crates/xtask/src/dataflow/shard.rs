@@ -8,9 +8,9 @@
 //!   `ColumnsShard` split slice and writes counters and events through
 //!   its own `ShardSink` (its slice of the metrics rows plus its
 //!   shard's spill and event buffers); the coordinator replays buffers
-//!   in ascending shard order so parallel emission order equals serial
-//!   order. NF-SHARD-001 flags any sweep-reachable function whose
-//!   signature or body names full-fleet state (`NodeColumns`,
+//!   stage by stage in ascending shard order so parallel emission
+//!   order equals serial order. NF-SHARD-001 flags any sweep-reachable
+//!   function whose signature or body names full-fleet state (`NodeColumns`,
 //!   `NodeCold`, `SlotCtx`, `NetworkMetrics`, ...) — a global-index
 //!   escape hatch that aliases rows another thread owns. NF-SHARD-002
 //!   flags direct `.emit(..)`/`.on_event(..)` dispatch (or naming
@@ -39,12 +39,12 @@
 //! Entry selection is *function-shaped*, not file-shaped: only
 //! functions named `sweep`/`*_sweep` in [`rules::SHARD_ENTRY_FILES`]
 //! root the NF-SHARD closure, because the same files also contain the
-//! sanctioned coordinators (`drive`, `run_stages`, `settle`,
-//! `ShardIter::new`) that legitimately hold the whole fleet — and no
-//! sweep can call back into them. A stage body outside those files is
-//! still covered: the fused pass that calls it reaches it. Like [`crate::reach`], messages omit line numbers (the
-//! baseline stays stable as code drifts) and carry the witness call
-//! chain in [`crate::engine::Violation::chain`].
+//! sanctioned coordinators (`run_stages`, `settle`, `ShardIter::new`)
+//! that legitimately hold the whole fleet — and no sweep can call back
+//! into them. A stage body outside those files is still covered: the
+//! fused pass that calls it reaches it. Like [`crate::reach`], messages
+//! omit line numbers (the baseline stays stable as code drifts) and
+//! carry the witness call chain in [`crate::engine::Violation::chain`].
 
 use crate::engine::{glob_matches, Violation};
 use crate::graph::CallGraph;

@@ -343,11 +343,6 @@ pub const FILE_ALLOWS: &[FileAllow] = &[
     },
     FileAllow {
         rule: "NF-PANIC-003",
-        path: "crates/core/src/experiment.rs",
-        reason: "figure tables indexed by the system/profile grid it builds",
-    },
-    FileAllow {
-        rule: "NF-PANIC-003",
         path: "crates/core/src/fleet.rs",
         reason: "percentile access into a vector it sorted and sized",
     },
@@ -574,10 +569,9 @@ pub const NV_COMMIT_MARKERS: &[&str] = &["commit", "checkpoint", "restore", "led
 /// shard layer itself and the fork-join primitive. Only the
 /// *sweep-shaped* functions in them (named `sweep` or `*_sweep`: the
 /// shard driver's passes and every per-node `Stage::node_sweep` body)
-/// are NF-SHARD entry roots — `drive`, `run_stages`,
-/// `Stage::drive_each`, `settle` and `ShardIter::new` are sanctioned
-/// coordinators that legitimately name the full-fleet types, and no
-/// sweep can call back into them.
+/// are NF-SHARD entry roots — `run_stages`, `settle` and
+/// `ShardIter::new` are sanctioned coordinators that legitimately name
+/// the full-fleet types, and no sweep can call back into them.
 pub const SHARD_ENTRY_FILES: &[&str] = &[
     "crates/core/src/sim/harvest.rs",
     "crates/core/src/sim/wake.rs",

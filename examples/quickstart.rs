@@ -23,7 +23,8 @@ fn main() {
         })
         .collect();
     let mut rows = Vec::new();
-    for result in run_many(&configs).expect("batch runs") {
+    let results = run_many(&configs, &PoolConfig::default(), &mut NoProgress);
+    for result in results.expect("batch runs") {
         let m = &result.metrics;
         rows.push(vec![
             result.config.system.label().to_string(),

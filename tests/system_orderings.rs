@@ -141,7 +141,9 @@ fn figure9_vp_hoards_stored_energy() {
     // Figure 9: the VP without load balancing keeps its capacitor far
     // fuller than balanced NVP nodes, which convert the same income
     // into fog work instead.
-    let results = neofog::core::experiment::figure9(1, None).expect("figure9 runs");
+    let results =
+        neofog::core::experiment::figure9(1, None, &PoolConfig::default(), &mut NoProgress)
+            .expect("figure9 runs");
     let mean = |m: &neofog::core::NetworkMetrics| -> f64 {
         let values: Vec<f32> = m
             .nodes
@@ -163,7 +165,8 @@ fn headline_gains_exceed_paper_baseline() {
     // The abstract: 4.2X in-fog at baseline, 8X at 3X multiplexing.
     // Our NOS-VP baseline is weaker in rain, so the measured gains sit
     // above the paper's; assert they at least clear the paper's bar.
-    let h = neofog::core::experiment::headline(3).expect("headline runs");
+    let h = neofog::core::experiment::headline(3, &PoolConfig::default(), &mut NoProgress)
+        .expect("headline runs");
     assert!(
         h.baseline_gain > 4.0,
         "baseline gain {:.1}",
