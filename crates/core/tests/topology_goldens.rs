@@ -6,6 +6,8 @@
 //! run-twice reproducibility: the same `(topology, seed, balancer)`
 //! must write a byte-identical event log every time, and the offload
 //! balancer must actually resolve decisions on mains-tiered graphs.
+//! One multiplexed tier graph is pinned outright: its state digest and
+//! totals hold the values the kernel gave when the pin was taken.
 
 use neofog_core::sim::{BalancerKind, SimConfig, Simulator};
 use neofog_core::SystemKind;
@@ -114,4 +116,34 @@ fn distinct_seeds_give_distinct_meshes() {
         0,
     );
     assert_ne!(a, b, "graph seed had no effect on the event log");
+}
+
+/// A multiplexed tier graph, pinned at every shard count: with
+/// multiplex 3 a node's index is not its position, and the sensor,
+/// gateway and cloud tiers differ in compute rate and hops to the
+/// sink, so a per-position table read by node index (or a per-node
+/// copy gone stale) moves these values. No observer is attached: in
+/// release builds this runs the kernel's no-record path.
+#[test]
+fn multiplexed_tiered_offload_matches_its_pin() {
+    for threads in [1, 2, 3] {
+        let mut cfg =
+            SimConfig::paper_default(SystemKind::FiosNeoFog, Scenario::ForestIndependent, 9);
+        cfg.positions = 12;
+        cfg.multiplex = 3;
+        cfg.slots = 200;
+        cfg.topology = TopologySpec::Tiered { gateways: 2 };
+        cfg.balancer = BalancerKind::Offload;
+        cfg.threads = threads;
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        sim.advance(200);
+        let digest = sim.state_digest();
+        let m = sim.run().metrics;
+        let executed: u64 = m.nodes.iter().map(|n| n.tasks_executed).sum();
+        assert_eq!(
+            (digest, m.total_processed(), executed, m.offload_decisions),
+            (0xc819_8bb9_bf10_d0d1, 2326, 2379, 66),
+            "threads={threads}: tiered multiplex-3 Offload run drifted from its pin"
+        );
+    }
 }
