@@ -70,14 +70,19 @@ pub(super) fn run(parts: &mut SimParts<'_>, ctx: &mut SlotCtx) {
         .collect();
     let mut chain_nodes = Vec::with_capacity(reps.len());
     let mut rep_map = Vec::with_capacity(reps.len());
+    // A representative offers only what is left after one session and
+    // two processed packets.
+    let node_cfg = &parts.cfg.node;
+    let tx_reserve = node_cfg.radio.session_cost(parts.rf)
+        + node_cfg
+            .radio
+            .packet_cost(parts.rf, node_cfg.package.processed_bytes)
+            * 2.0;
     for (pos, rep) in reps.iter().enumerate() {
         let (state, idx) = match rep {
             Some(i) => {
                 let cold = &cols.cold[*i];
                 let level_income = cols.income_power[*i];
-                let radio = parts.cfg.node.radio;
-                let tx_reserve = radio.session_cost(parts.rf)
-                    + radio.packet_cost(parts.rf, cold.cfg.package.processed_bytes) * 2.0;
                 let spare = columns::budget_available(
                     cols.direct_left[*i],
                     cols.discharge_eff,

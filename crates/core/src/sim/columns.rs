@@ -13,30 +13,32 @@
 //!   per-slot direct pool, wake flags, income powers and balance
 //!   credits. A phase that needs three fields walks three dense
 //!   arrays; everything else stays out of cache.
-//! * **Cold rows** — [`NodeCold`]: the node config, the prefix-summed
-//!   energy curve, the package queues and the RNG stream. These are
-//!   touched only when a node actually wakes, computes or transmits,
-//!   so they stay row-oriented and are reached through [`NodeView`].
+//! * **Cold rows** — [`NodeCold`]: the prefix-summed energy curve, the
+//!   package queues and the RNG stream, the only state that is truly
+//!   per node and too large or too rarely touched to be a column. They
+//!   are touched only when a node actually wakes, computes or
+//!   transmits, so they stay row-oriented and are reached through
+//!   [`NodeView`].
 //!
-//! The per-slot energy budget arithmetic that used to live on
-//! `SlotBudget` is preserved *verbatim* as the free functions
-//! [`budget_available`], [`spend_budget`] and [`leftover_income`]
-//! (identical operation order, so event logs stay bit-identical to the
-//! row-oriented pipeline — `tests/columns_goldens.rs` pins that). The
-//! front-end efficiencies they take are per-*run* scalars on
-//! [`NodeColumns`], not per-node columns: every node shares the same
-//! `NodeConfig`, so storing them per node would be n copies of two
-//! constants.
+//! Nothing is stored per node that is not per node. The `NodeConfig` is
+//! one per run, so each stage copies the scalars it needs from
+//! `SimConfig::node` when it is built. Tier capabilities and hop counts
+//! are per position, so stages read them from the simulator's
+//! per-position tables (`SimParts::caps`, `RoutePlan::hops_slice`)
+//! through the node's `position`, the one per-node key into them.
 //!
-//! Balance credits are a column (not a scratch `Vec<usize>` of
-//! participant indices, as the balance phase used to allocate) so the
-//! transfer-cost charging is itself a linear sweep: mark the share on
-//! every awake node, then spend marked credits in index order —
-//! allocation-free and in the same order the participant list gave.
+//! The energy budget arithmetic is three free functions over split
+//! borrows — [`budget_available`], [`spend_budget`] and
+//! [`leftover_income`] — whose operation order `tests/columns_goldens.rs`
+//! pins; the front-end efficiencies they take are per-run scalars on
+//! [`NodeColumns`].
+//!
+//! Balance credits are a column so the transfer-cost charging is a
+//! linear sweep: mark the share on every awake node, then spend marked
+//! credits in index order, allocation-free.
 
 use super::ctx::Package;
 use super::ledger::EnergyLedger;
-use crate::node::{NodeCapabilities, NodeConfig};
 use neofog_energy::{EnergyCurve, FrontEnd, Rtc, SuperCap};
 use neofog_net::slots::SlotSchedule;
 use neofog_types::{Energy, Power, SimRng};
@@ -44,11 +46,6 @@ use std::ops::Range;
 
 /// Rarely-touched per-node state, reached only when a node is active.
 pub(crate) struct NodeCold {
-    /// Node design parameters (identical across the fleet).
-    pub(crate) cfg: NodeConfig,
-    /// Tier-derived radio/compute capability row (varies by tier, not
-    /// per node, so it is cold: read only in compute and balance).
-    pub(crate) caps: NodeCapabilities,
     /// Prefix-summed income curve (O(1) per-slot integration).
     pub(crate) curve: EnergyCurve,
     /// Packages awaiting fog processing (fog systems only).
@@ -74,18 +71,14 @@ pub(crate) struct NodeColumns {
     pub(crate) rtc: Vec<Rtc>,
     /// Wake schedule cursor per node.
     pub(crate) schedule: Vec<SlotSchedule>,
-    /// Logical chain position per node.
+    /// Logical chain position per node: the key into every
+    /// per-position table.
     pub(crate) position: Vec<usize>,
-    /// Route-plan hop count from each node's position to the sink
-    /// (equals `position` on chains; the transmit sweep reads it for
-    /// session/packet hop pricing).
-    pub(crate) hops_to_sink: Vec<u32>,
     /// NV FIFO backlog (`cold[i].pending.len()`), mirrored here so
     /// admission checks and empty-queue skips never touch a cold row.
     pub(crate) fifo_depth: Vec<u32>,
     // --- per-slot hot columns (reset by `begin_slot`) ---
-    /// Unspent direct-channel pool (the `SlotBudget::direct_left` of
-    /// the row pipeline; the harvest phase fills it).
+    /// Unspent direct-channel pool (the harvest phase fills it).
     pub(crate) direct_left: Vec<Energy>,
     /// Wake flags (set by the wake phase; absorbed from `SlotCtx`).
     pub(crate) awake: Vec<bool>,
@@ -129,8 +122,6 @@ pub(crate) struct NodeView<'a> {
     pub(crate) schedule: &'a SlotSchedule,
     /// Logical chain position.
     pub(crate) position: usize,
-    /// Route-plan hop count to the sink.
-    pub(crate) hops_to_sink: u32,
     /// Mirrored `cold.pending.len()`; keep in sync on push/pop.
     pub(crate) fifo_depth: &'a mut u32,
     /// Unspent direct pool.
@@ -141,7 +132,7 @@ pub(crate) struct NodeView<'a> {
     pub(crate) income_power: &'a mut Power,
     /// Balance-transfer share marked on this node.
     pub(crate) balance_credit: &'a mut Energy,
-    /// Config, curve, queues and RNG stream.
+    /// Curve, queues and RNG stream.
     pub(crate) cold: &'a mut NodeCold,
     /// Direct-channel efficiency (per-run scalar).
     pub(crate) direct_eff: f64,
@@ -176,15 +167,14 @@ pub(crate) fn position_nodes(position: usize, multiplex: usize) -> Range<usize> 
 }
 
 /// Spendable energy: the direct pool plus the capacitor behind the
-/// discharge regulator. Identical to `SlotBudget::available`.
+/// discharge regulator.
 pub(crate) fn budget_available(direct_left: Energy, discharge_eff: f64, cap: &SuperCap) -> Energy {
     direct_left + cap.stored() * discharge_eff
 }
 
 /// Spends `amount` (at the load), direct pool first, booking the
 /// delivery and both channels' conversion losses in the ledger.
-/// Returns false (spending nothing) if unaffordable. Identical
-/// operation order to `SlotBudget::spend`.
+/// Returns false (spending nothing) if unaffordable.
 pub(crate) fn spend_budget(
     direct_left: &mut Energy,
     direct_eff: f64,
@@ -216,7 +206,6 @@ pub(crate) fn spend_budget(
 }
 
 /// Drains the direct pool, returning it converted back to raw income.
-/// Identical to `SlotBudget::leftover_income`.
 pub(crate) fn leftover_income(direct_left: &mut Energy, direct_eff: f64) -> Energy {
     let left = *direct_left;
     *direct_left = Energy::ZERO;
@@ -237,7 +226,6 @@ impl NodeColumns {
             rtc: Vec::with_capacity(n),
             schedule: Vec::with_capacity(n),
             position: Vec::with_capacity(n),
-            hops_to_sink: Vec::with_capacity(n),
             fifo_depth: Vec::with_capacity(n),
             direct_left: Vec::with_capacity(n),
             awake: Vec::with_capacity(n),
@@ -261,14 +249,12 @@ impl NodeColumns {
         rtc: Rtc,
         schedule: SlotSchedule,
         position: usize,
-        hops_to_sink: u32,
         cold: NodeCold,
     ) {
         self.cap.push(cap);
         self.rtc.push(rtc);
         self.schedule.push(schedule);
         self.position.push(position);
-        self.hops_to_sink.push(hops_to_sink);
         self.fifo_depth.push(cold.pending.len() as u32);
         self.direct_left.push(Energy::ZERO);
         self.awake.push(false);

@@ -27,25 +27,34 @@ use super::ctx::SlotCtx;
 use super::event::{ShedReason, SimEvent};
 use super::ledger::EnergyLedger;
 use super::shard::{ShardSink, ShardWork, Stage};
-use super::SimParts;
+use super::{SimConfig, SimParts};
+use crate::node::NodeCapabilities;
 use neofog_nvp::SpendthriftPolicy;
-use neofog_rf::RfTimings;
-use neofog_types::{Duration, Power};
+use neofog_types::{Duration, Energy, Power};
 
 /// The fog-execution stage: runs head-of-queue tasks on a node with a
 /// non-empty FIFO.
 pub(super) struct ExecStage<'a> {
     slot_len: Duration,
     spendthrift: &'a SpendthriftPolicy,
-    rf: &'a RfTimings,
+    /// Per-position capability rows, read through `view.position`.
+    caps: &'a [NodeCapabilities],
+    /// Energy held back so computing never starves shipping: one radio
+    /// session plus one processed packet.
+    reserve: Energy,
 }
 
 impl<'a> ExecStage<'a> {
     pub(super) fn new(parts: &SimParts<'a>) -> Self {
+        let node = &parts.cfg.node;
         ExecStage {
             slot_len: parts.cfg.slot_len,
             spendthrift: parts.spendthrift,
-            rf: parts.rf,
+            caps: parts.caps,
+            reserve: node.radio.session_cost(parts.rf)
+                + node
+                    .radio
+                    .packet_cost(parts.rf, node.package.processed_bytes),
         }
     }
 }
@@ -62,6 +71,9 @@ impl Stage for ExecStage<'_> {
         if *view.fifo_depth == 0 {
             return;
         }
+        let Some(caps) = self.caps.get(view.position) else {
+            return;
+        };
         let node = view.node;
         let slot_len = self.slot_len;
         // Spendthrift samples both income power and the stored-energy
@@ -83,14 +95,8 @@ impl Stage for ExecStage<'_> {
         // chain goldens see an exact ×1.0 multiply.
         let (epi, throughput) = (
             lvl.energy_per_inst,
-            self.spendthrift.throughput(effective) * cold.caps.compute_rate,
+            self.spendthrift.throughput(effective) * caps.compute_rate,
         );
-        // Keep a transmit reserve so computing never starves shipping.
-        let reserve = cold.cfg.radio.session_cost(self.rf)
-            + cold
-                .cfg
-                .radio
-                .packet_cost(self.rf, cold.cfg.package.processed_bytes);
         let mut time_left = (throughput * slot_len.as_secs_f64()) as u64;
         while time_left > 0 {
             let Some(pkg) = cold.pending.first_mut() else {
@@ -98,7 +104,7 @@ impl Stage for ExecStage<'_> {
             };
             let energy_afford =
                 columns::budget_available(*view.direct_left, view.discharge_eff, view.cap)
-                    .saturating_sub(reserve)
+                    .saturating_sub(self.reserve)
                     .as_nanojoules()
                     / epi.as_nanojoules();
             let run = pkg
@@ -144,11 +150,16 @@ impl Stage for ExecStage<'_> {
 /// shed and emits nothing — the depth column skips the whole row.
 pub(super) struct ShedStage {
     slot: u64,
+    /// A package's full task length: one still at it never started.
+    fog_instructions: u64,
 }
 
 impl ShedStage {
-    pub(super) fn new(ctx: &SlotCtx) -> Self {
-        ShedStage { slot: ctx.slot }
+    pub(super) fn new(cfg: &SimConfig, ctx: &SlotCtx) -> Self {
+        ShedStage {
+            slot: ctx.slot,
+            fog_instructions: cfg.node.package.fog_instructions,
+        }
     }
 }
 
@@ -166,7 +177,7 @@ impl Stage for ShedStage {
             return;
         }
         let cold = &mut *view.cold;
-        let fog_len = cold.cfg.package.fog_instructions;
+        let fog_len = self.fog_instructions;
         // Packages with execution progress are never shed — killing
         // a half-finished head would waste the energy already sunk.
         // Partition through the shard's package scratch (retain

@@ -20,15 +20,19 @@ use crate::sim::SimConfig;
 use neofog_types::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Maximum fog backlog a node admits (packages); the NV buffer sheds
-/// newer samples beyond this.
+/// Fog backlog (packages) beyond which wake admission sheds a node's
+/// own new samples. Only admission checks it: the balance phase's
+/// apply step, which also places the Offload balancer's tasks shipped
+/// to mains-powered tiers, appends to a representative's `pending`
+/// without a room check, so a queue can grow past it (ROADMAP item 5).
 pub(crate) const MAX_PENDING: usize = 8;
 
 /// Initial capacity for the per-node package queues and the package
-/// scratch. `pending` is hard-capped at [`MAX_PENDING`]; the outbox
-/// backlog tracks it closely (admission control throttles inflow to
-/// one capture per wake plus what fog processing releases), so 2× is
-/// enough that steady-state slots never regrow the queues.
+/// scratch. Admission keeps a node's own captures within
+/// [`MAX_PENDING`], and the outbox backlog tracks it closely (one
+/// capture per wake plus what fog processing releases), so 2× is
+/// enough that slots without balancing never regrow the queues. A
+/// queue that balancing pushes past it regrows like any `Vec`.
 pub(crate) const QUEUE_RESERVE: usize = 2 * MAX_PENDING;
 
 /// One captured data package travelling through the system.

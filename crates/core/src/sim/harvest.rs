@@ -11,9 +11,8 @@
 //! capacitor, NOS nodes only the capacitor round-trip.
 //!
 //! The stage reads the capacitor, RTC, direct-pool and income-power
-//! columns and the node's curve and config; the budget efficiencies
-//! are per-run scalars set when the columns were built, so nothing
-//! is stored per node here. There is no cross-node data flow, so the
+//! columns and the node's curve; the harvester and budget efficiencies
+//! are per-run scalars, so nothing is stored per node here. There is no cross-node data flow, so the
 //! stage runs per shard, fused with wake into the slot's first pass.
 
 use super::columns::NodeView;
@@ -30,6 +29,7 @@ pub(super) struct HarvestStage {
     t0: Duration,
     t1: Duration,
     slot_len: Duration,
+    harvester_efficiency: f64,
     fe: FrontEnd,
 }
 
@@ -39,6 +39,7 @@ impl HarvestStage {
             t0: ctx.t0,
             t1: ctx.t1,
             slot_len: cfg.slot_len,
+            harvester_efficiency: cfg.node.harvester_efficiency,
             fe: cfg.node.front_end,
         }
     }
@@ -64,7 +65,7 @@ impl Stage for HarvestStage {
         } = view;
         let node = *node;
         let ambient = cold.curve.energy_between(self.t0, self.t1);
-        let mut income = ambient * cold.cfg.harvester_efficiency;
+        let mut income = ambient * self.harvester_efficiency;
         ledger.credit_harvest(income);
         **income_power =
             Power::from_milliwatts(income.as_nanojoules() / self.slot_len.as_micros() as f64);

@@ -68,6 +68,11 @@
 //! a pass's events stage-major, so event logs keep their phase-major
 //! order (see `sim/shard.rs`).
 //!
+//! Each fact a stage reads is stored once: per-run values (`cfg.node`,
+//! derived costs such as the transmit reserve) are captured by the
+//! stage when it is built, and per-position tables (tier capabilities,
+//! hop counts) are read through the node's `position`.
+//!
 //! # Counters and events
 //!
 //! The kernel owns its counters. Every observable state change is
@@ -314,7 +319,8 @@ pub struct Simulator {
     /// Compiled topology: next-hop table, hop counts, sweep order and
     /// CSR adjacency — the slot loop never does graph search.
     route: RoutePlan,
-    /// Per-position capability rows, derived from each position's tier.
+    /// Per-position capability rows, derived from each position's
+    /// tier: the only copy, read by position.
     caps: Vec<NodeCapabilities>,
     balancer: Box<dyn LoadBalancer>,
     loss: LossModel,
@@ -395,7 +401,7 @@ impl Simulator {
             .collect();
         let mut rng = SimRng::seed_from(cfg.seed ^ 0x5EED);
         let mut nodes = NodeColumns::with_capacity(physical, cfg.node.front_end);
-        for (p, &tier_caps) in caps.iter().enumerate() {
+        for p in 0..cfg.positions {
             for k in 0..cfg.multiplex {
                 let idx = nodes.len();
                 let schedule = if cfg.multiplex == 1 {
@@ -410,14 +416,12 @@ impl Simulator {
                     .with_initial(cfg.node.cap_capacity * cfg.node.initial_charge);
                 let rtc = Rtc::new(Energy::from_millijoules(5.0), Power::from_microwatts(2.0));
                 let cold = NodeCold {
-                    cfg: cfg.node,
-                    caps: tier_caps,
                     curve,
                     pending: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     outbox: Vec::with_capacity(ctx::QUEUE_RESERVE),
                     rng: rng.fork(idx as u64),
                 };
-                nodes.push_node(cap, rtc, schedule, p, route.hops(p), cold);
+                nodes.push_node(cap, rtc, schedule, p, cold);
             }
         }
         let loss = LossModel::paper_default().with_weather_loss(cfg.weather_loss);
@@ -486,16 +490,30 @@ impl Simulator {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
             }
         };
-        for i in 0..self.nodes.len() {
-            mix(self.nodes.cap[i].stored().as_nanojoules().to_bits());
-            mix(u64::from(self.nodes.rtc[i].is_synchronized()));
-            mix(u64::from(self.nodes.fifo_depth[i]));
-            mix(self.nodes.direct_left[i].as_nanojoules().to_bits());
-            mix(u64::from(self.nodes.awake[i]));
-            mix(self.nodes.income_power[i].as_microwatts().to_bits());
-            mix(self.nodes.balance_credit[i].as_nanojoules().to_bits());
-            mix(self.nodes.position[i] as u64);
-            let cold = &self.nodes.cold[i];
+        let n = &self.nodes;
+        let rows = n
+            .cap
+            .iter()
+            .zip(&n.rtc)
+            .zip(&n.fifo_depth)
+            .zip(&n.direct_left)
+            .zip(&n.awake)
+            .zip(&n.income_power)
+            .zip(&n.balance_credit)
+            .zip(&n.position)
+            .zip(&n.cold);
+        for row in rows {
+            #[rustfmt::skip]
+            let ((((((((cap, rtc), &fifo), direct_left), &awake), income_power), balance_credit),
+                &position), cold) = row;
+            mix(cap.stored().as_nanojoules().to_bits());
+            mix(u64::from(rtc.is_synchronized()));
+            mix(u64::from(fifo));
+            mix(direct_left.as_nanojoules().to_bits());
+            mix(u64::from(awake));
+            mix(income_power.as_microwatts().to_bits());
+            mix(balance_credit.as_nanojoules().to_bits());
+            mix(position as u64);
             for queue in [&cold.pending, &cold.outbox] {
                 mix(queue.len() as u64);
                 for pkg in queue {
@@ -570,7 +588,7 @@ impl Simulator {
         let late = (
             compute::ExecStage::new(&parts),
             (
-                compute::ShedStage::new(&ctx),
+                compute::ShedStage::new(parts.cfg, &ctx),
                 transmit::SendStage::new(&parts),
             ),
         );
@@ -593,33 +611,18 @@ impl Simulator {
 
     /// Splits the simulator into the disjoint borrows the phases use.
     fn parts(&mut self) -> SimParts<'_> {
-        let Simulator {
-            cfg,
-            nodes,
-            route,
-            caps,
-            balancer,
-            loss,
-            rf,
-            spendthrift,
-            rng,
-            metrics,
-            observers,
-            scratch: _,
-            next_slot: _,
-        } = self;
         SimParts {
-            cfg,
-            nodes,
-            route,
-            caps,
-            balancer,
-            loss,
-            rf,
-            spendthrift,
-            rng,
-            metrics,
-            observers,
+            cfg: &self.cfg,
+            nodes: &mut self.nodes,
+            route: &self.route,
+            caps: &self.caps,
+            balancer: &mut self.balancer,
+            loss: &self.loss,
+            rf: &self.rf,
+            spendthrift: &self.spendthrift,
+            rng: &mut self.rng,
+            metrics: &mut self.metrics,
+            observers: &mut self.observers,
         }
     }
 }

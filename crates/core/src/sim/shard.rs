@@ -5,11 +5,12 @@
 //! spend, compute exec, stale shed, transmit send, relay duty, slot
 //! end) is a per-node [`Stage`]: it sees one node through a
 //! [`NodeView`] row lens and writes counters and events through its
-//! shard's sink, with no cross-node data flow. A [`Pass`] runs a group
+//! shard's sink, with no cross-node data flow. [`sweep`] runs a group
 //! of stages over one shard, calling them in phase order for each node
-//! before it moves to the next. This module slices the
+//! before it moves to the next. [`shards`] carves the
 //! [`NodeColumns`] arrays into contiguous, **position-aligned** shards
-//! and runs each pass once per shard through
+//! (one [`ColumnsShard`] method names every column slice), and
+//! [`run_stages`] sweeps each shard once through
 //! `runner::fork::fork_join` — the serial path (`threads == 1`) is
 //! simply one full-range shard run inline, so both paths share one
 //! code path:
@@ -160,7 +161,8 @@ impl ShardSink<'_> {
 }
 
 /// Disjoint `&mut` slices over one contiguous, position-aligned run of
-/// the columns — the view a sharded pass works on. `base` translates
+/// the columns — the view a sharded pass works on, and also the
+/// uncarved remainder [`shards`] cuts them from. `base` translates
 /// shard-local indices back to global node indices (for events).
 pub(crate) struct ColumnsShard<'a> {
     /// Global index of the shard's first physical node.
@@ -169,7 +171,6 @@ pub(crate) struct ColumnsShard<'a> {
     pub(crate) rtc: &'a mut [Rtc],
     pub(crate) schedule: &'a [SlotSchedule],
     pub(crate) position: &'a [usize],
-    pub(crate) hops_to_sink: &'a [u32],
     pub(crate) fifo_depth: &'a mut [u32],
     pub(crate) direct_left: &'a mut [Energy],
     pub(crate) awake: &'a mut [bool],
@@ -184,10 +185,33 @@ pub(crate) struct ColumnsShard<'a> {
     pub(crate) discharge_eff: f64,
 }
 
-impl ColumnsShard<'_> {
+impl<'a> ColumnsShard<'a> {
     /// Physical nodes in the shard.
     pub(crate) fn len(&self) -> usize {
         self.cold.len()
+    }
+
+    /// Splits the first `take` nodes (fewer if the shard is shorter)
+    /// off into a shard of their own, leaving the rest in `self`.
+    fn carve(&mut self, take: usize) -> ColumnsShard<'a> {
+        let head = ColumnsShard {
+            base: self.base,
+            cap: take_mut(&mut self.cap, take),
+            rtc: take_mut(&mut self.rtc, take),
+            schedule: take_ref(&mut self.schedule, take),
+            position: take_ref(&mut self.position, take),
+            fifo_depth: take_mut(&mut self.fifo_depth, take),
+            direct_left: take_mut(&mut self.direct_left, take),
+            awake: take_mut(&mut self.awake, take),
+            income_power: take_mut(&mut self.income_power, take),
+            balance_credit: take_mut(&mut self.balance_credit, take),
+            cold: take_mut(&mut self.cold, take),
+            ledgers: take_mut(&mut self.ledgers, take),
+            direct_eff: self.direct_eff,
+            discharge_eff: self.discharge_eff,
+        };
+        self.base += head.len();
+        head
     }
 
     /// One [`NodeView`] row lens per node with the node's conservation
@@ -200,7 +224,6 @@ impl ColumnsShard<'_> {
             .zip(self.rtc.iter_mut())
             .zip(self.schedule.iter())
             .zip(self.position.iter())
-            .zip(self.hops_to_sink.iter())
             .zip(self.fifo_depth.iter_mut())
             .zip(self.direct_left.iter_mut())
             .zip(self.awake.iter_mut())
@@ -211,15 +234,17 @@ impl ColumnsShard<'_> {
             .enumerate()
             .map(move |(local, row)| {
                 #[rustfmt::skip]
-                let (((((((((((cap, rtc), schedule), position), hops), fifo), direct_left), awake),
+                let ((((((((((cap, rtc), schedule), position), fifo), direct_left), awake),
                     income_power), balance_credit), cold), ledger) = row;
+                // The depth column mirrors the queue; every writer of
+                // `pending` must leave the two equal.
+                debug_assert_eq!(*fifo as usize, cold.pending.len(), "fifo_depth mirror");
                 let view = NodeView {
                     node: base + local,
                     cap,
                     rtc,
                     schedule,
                     position: *position,
-                    hops_to_sink: *hops,
                     fifo_depth: fifo,
                     direct_left,
                     awake,
@@ -240,70 +265,57 @@ pub(crate) fn pos_per_shard(n_pos: usize, threads: usize) -> usize {
     n_pos.div_ceil(threads.max(1)).max(1)
 }
 
-/// Iterator yielding one position-aligned [`ColumnsShard`] per shard
-/// scratch, with its [`ShardWork`] and [`ShardSink`], carving every
-/// slice with `split_at_mut` — no allocation per shard.
-pub(crate) struct ShardIter<'a> {
-    base: usize,
-    pos_base: usize,
-    nodes_per_shard: usize,
-    pos_per_shard: usize,
-    direct_eff: f64,
-    discharge_eff: f64,
-    record: bool,
-    cap: &'a mut [SuperCap],
-    rtc: &'a mut [Rtc],
-    schedule: &'a [SlotSchedule],
-    position: &'a [usize],
-    hops_to_sink: &'a [u32],
-    fifo_depth: &'a mut [u32],
-    direct_left: &'a mut [Energy],
-    awake: &'a mut [bool],
-    income_power: &'a mut [Power],
-    balance_credit: &'a mut [Energy],
-    cold: &'a mut [NodeCold],
-    ledgers: &'a mut [EnergyLedger],
-    forward: &'a mut [u64],
+/// One position-aligned [`ColumnsShard`] per warmed shard scratch,
+/// with its [`ShardWork`] and [`ShardSink`]: each shard is carved off
+/// the front of the uncarved columns, and its relay-mark segment and
+/// metrics rows are the matching chunks of the per-position marks and
+/// of `rows` — no allocation per shard. Sinks record events when
+/// `record` is set.
+pub(crate) fn shards<'a>(
+    cols: &'a mut NodeColumns,
+    ctx: &'a mut SlotCtx,
     rows: &'a mut [NodeMetrics],
-    scratches: std::slice::IterMut<'a, ShardScratch>,
-}
-
-impl<'a> ShardIter<'a> {
-    /// Shards `cols`, the slot context's per-node ledgers and
-    /// per-position relay marks, and the metrics `rows` into the
-    /// context's warmed shard geometry; sinks record events when
-    /// `record` is set.
-    pub(crate) fn new(
-        cols: &'a mut NodeColumns,
-        ctx: &'a mut SlotCtx,
-        rows: &'a mut [NodeMetrics],
-        record: bool,
-    ) -> ShardIter<'a> {
-        ShardIter {
-            base: 0,
-            pos_base: 0,
-            nodes_per_shard: ctx.nodes_per_shard,
-            pos_per_shard: ctx.pos_per_shard,
-            direct_eff: cols.direct_eff,
-            discharge_eff: cols.discharge_eff,
-            record,
-            cap: &mut cols.cap,
-            rtc: &mut cols.rtc,
-            schedule: &cols.schedule,
-            position: &cols.position,
-            hops_to_sink: &cols.hops_to_sink,
-            fifo_depth: &mut cols.fifo_depth,
-            direct_left: &mut cols.direct_left,
-            awake: &mut cols.awake,
-            income_power: &mut cols.income_power,
-            balance_credit: &mut cols.balance_credit,
-            cold: &mut cols.cold,
-            ledgers: &mut ctx.ledgers,
-            forward: &mut ctx.forward_bytes,
-            rows,
-            scratches: ctx.shards.iter_mut(),
-        }
-    }
+    record: bool,
+) -> impl Iterator<Item = (ColumnsShard<'a>, ShardWork<'a>, ShardSink<'a>)> {
+    let (nodes_per_shard, pos_per_shard) = (ctx.nodes_per_shard, ctx.pos_per_shard);
+    let mut rest = ColumnsShard {
+        base: 0,
+        cap: &mut cols.cap,
+        rtc: &mut cols.rtc,
+        schedule: &cols.schedule,
+        position: &cols.position,
+        fifo_depth: &mut cols.fifo_depth,
+        direct_left: &mut cols.direct_left,
+        awake: &mut cols.awake,
+        income_power: &mut cols.income_power,
+        balance_credit: &mut cols.balance_credit,
+        cold: &mut cols.cold,
+        ledgers: &mut ctx.ledgers,
+        direct_eff: cols.direct_eff,
+        discharge_eff: cols.discharge_eff,
+    };
+    ctx.shards
+        .iter_mut()
+        .zip(ctx.forward_bytes.chunks_mut(pos_per_shard))
+        .zip(rows.chunks_mut(nodes_per_shard))
+        .enumerate()
+        .map(move |(k, ((scratch, forward), rows))| {
+            let shard = rest.carve(nodes_per_shard);
+            let work = ShardWork {
+                pos_base: k * pos_per_shard,
+                pkg: &mut scratch.pkg,
+                forward,
+                fold_total: &mut scratch.fold_total,
+            };
+            let sink = ShardSink {
+                base: shard.base,
+                stage: 0,
+                rows,
+                spill: &mut scratch.spill,
+                events: record.then_some(&mut scratch.events),
+            };
+            (shard, work, sink)
+        })
 }
 
 /// Splits the head `take` elements off a `&mut` slice field in place.
@@ -320,69 +332,6 @@ fn take_ref<'a, T>(slot: &mut &'a [T], take: usize) -> &'a [T] {
     let (head, rest) = std::mem::take(slot).split_at(take);
     *slot = rest;
     head
-}
-
-impl<'a> Iterator for ShardIter<'a> {
-    type Item = (ColumnsShard<'a>, ShardWork<'a>, ShardSink<'a>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cold.is_empty() {
-            return None;
-        }
-        let scratch = self.scratches.next()?;
-        let take = self.nodes_per_shard;
-        let shard = ColumnsShard {
-            base: self.base,
-            cap: take_mut(&mut self.cap, take),
-            rtc: take_mut(&mut self.rtc, take),
-            schedule: take_ref(&mut self.schedule, take),
-            position: take_ref(&mut self.position, take),
-            hops_to_sink: take_ref(&mut self.hops_to_sink, take),
-            fifo_depth: take_mut(&mut self.fifo_depth, take),
-            direct_left: take_mut(&mut self.direct_left, take),
-            awake: take_mut(&mut self.awake, take),
-            income_power: take_mut(&mut self.income_power, take),
-            balance_credit: take_mut(&mut self.balance_credit, take),
-            cold: take_mut(&mut self.cold, take),
-            ledgers: take_mut(&mut self.ledgers, take),
-            direct_eff: self.direct_eff,
-            discharge_eff: self.discharge_eff,
-        };
-        let ShardScratch {
-            events,
-            spill,
-            pkg,
-            fold_total,
-        } = scratch;
-        let work = ShardWork {
-            pos_base: self.pos_base,
-            pkg,
-            forward: take_mut(&mut self.forward, self.pos_per_shard),
-            fold_total,
-        };
-        let sink = ShardSink {
-            base: self.base,
-            stage: 0,
-            rows: take_mut(&mut self.rows, take),
-            spill,
-            events: self.record.then_some(events),
-        };
-        self.base += shard.len();
-        self.pos_base += self.pos_per_shard;
-        Some((shard, work, sink))
-    }
-}
-
-/// A pass runnable on one shard: the body of the serial loop,
-/// writing counters and events through the shard's sink.
-pub(crate) trait Sweep: Sync {
-    /// Sweeps one shard, emitting in ascending node order.
-    fn sweep(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        work: &mut ShardWork<'_>,
-        sink: &mut ShardSink<'_>,
-    );
 }
 
 /// One element-wise phase body, applied to one node at a time. A pair
@@ -445,29 +394,26 @@ impl<A: Stage, B: Stage> Stage for (A, B) {
     }
 }
 
-/// A stage group run as one pass over a shard: every stage of the
-/// group for each node in ascending order, then the per-shard
-/// epilogues.
-pub(crate) struct Pass<'s, S>(&'s S);
-
-impl<S: Stage> Sweep for Pass<'_, S> {
-    fn sweep(
-        &self,
-        shard: &mut ColumnsShard<'_>,
-        work: &mut ShardWork<'_>,
-        sink: &mut ShardSink<'_>,
-    ) {
-        self.0.begin_shard(work);
-        for (mut view, ledger) in shard.rows() {
-            self.0.node_sweep(&mut view, ledger, work, sink);
-        }
-        self.0.end_shard(work);
+/// Runs the stage group `stages` over one shard as one pass: every
+/// stage of the group for each node in ascending order, then the
+/// per-shard epilogues, writing counters and events through the
+/// shard's sink.
+fn sweep<S: Stage>(
+    stages: &S,
+    mut shard: ColumnsShard<'_>,
+    mut work: ShardWork<'_>,
+    mut sink: ShardSink<'_>,
+) {
+    stages.begin_shard(&mut work);
+    for (mut view, ledger) in shard.rows() {
+        stages.node_sweep(&mut view, ledger, &mut work, &mut sink);
     }
+    stages.end_shard(&mut work);
 }
 
 /// Runs the stage group `stages` over the whole fleet as one fused
-/// pass — one shard per warmed shard scratch, the first inline on the
-/// calling thread (so the serial path never spawns) — then
+/// pass — one [`sweep`] per warmed shard scratch, the first inline on
+/// the calling thread (so the serial path never spawns) — then
 /// [`settle`]s the shards.
 pub(crate) fn run_stages<S: Stage>(parts: &mut SimParts<'_>, ctx: &mut SlotCtx, stages: &S) {
     let record = !parts.observers.is_empty();
@@ -480,11 +426,9 @@ pub(crate) fn run_stages<S: Stage>(parts: &mut SimParts<'_>, ctx: &mut SlotCtx, 
             scratch.events.reserve(group);
         }
     }
-    let pass = &Pass(stages);
     fork_join(
-        ShardIter::new(parts.nodes, ctx, &mut parts.metrics.nodes, record).map(
-            |(mut shard, mut work, mut sink)| move || pass.sweep(&mut shard, &mut work, &mut sink),
-        ),
+        shards(parts.nodes, ctx, &mut parts.metrics.nodes, record)
+            .map(|(shard, work, sink)| move || sweep(stages, shard, work, sink)),
     );
     settle(&mut ctx.shards, S::STAGES, parts.metrics, parts.observers);
 }

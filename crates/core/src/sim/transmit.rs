@@ -56,19 +56,23 @@
 //! position order.
 
 use super::columns::NodeView;
-use super::ctx::SlotCtx;
+use super::ctx::{Package, SlotCtx};
 use super::event::{RadioPurpose, SimEvent};
 use super::ledger::EnergyLedger;
 use super::shard::{ShardSink, ShardWork, Stage};
 use super::SimParts;
-use crate::node::RadioControl;
+use crate::node::{PackageSpec, RadioControl};
 use neofog_rf::{LossModel, RfTimings};
 use neofog_types::{Duration, Energy};
 
-/// The per-run scalars the send stage closes over.
+/// The per-run scalars and per-position tables the send stage closes
+/// over.
 pub(super) struct SendStage<'a> {
     radio: RadioControl,
     session: Energy,
+    package: PackageSpec,
+    /// Route-plan hops to the sink edge, per position.
+    hops: &'a [u32],
     rf: &'a RfTimings,
     loss: &'a LossModel,
 }
@@ -79,8 +83,19 @@ impl<'a> SendStage<'a> {
         SendStage {
             radio,
             session: radio.session_cost(parts.rf),
+            package: parts.cfg.node.package,
+            hops: parts.route.hops_slice(),
             rf: parts.rf,
             loss: parts.loss,
+        }
+    }
+
+    /// Bytes on air for `pkg`: processed packages are smaller.
+    fn on_air_bytes(&self, pkg: &Package) -> u32 {
+        if pkg.fog_done {
+            self.package.processed_bytes
+        } else {
+            self.package.raw_bytes
         }
     }
 }
@@ -109,6 +124,9 @@ impl Stage for SendStage<'_> {
         let Some(mark) = forward.get_mut(view.position - *pos_base) else {
             return;
         };
+        let Some(&hops) = self.hops.get(view.position) else {
+            return;
+        };
         let cold = &mut *view.cold;
         // Processed packages first: smaller and more valuable. A
         // stable two-pass partition through the package scratch
@@ -125,12 +143,7 @@ impl Stage for SendStage<'_> {
         let Some(first) = cold.outbox.first() else {
             return;
         };
-        let first_bytes = if first.fog_done {
-            cold.cfg.package.processed_bytes
-        } else {
-            cold.cfg.package.raw_bytes
-        };
-        let first_cost = self.radio.packet_cost(self.rf, first_bytes);
+        let first_cost = self.radio.packet_cost(self.rf, self.on_air_bytes(first));
         if view.available() < self.session + first_cost {
             return;
         }
@@ -142,13 +155,8 @@ impl Stage for SendStage<'_> {
             energy: self.session,
             purpose: RadioPurpose::Session,
         });
-        let hops = view.hops_to_sink; // route-plan hops to the sink edge
         while let Some(pkg) = view.cold.outbox.first().copied() {
-            let bytes = if pkg.fog_done {
-                view.cold.cfg.package.processed_bytes
-            } else {
-                view.cold.cfg.package.raw_bytes
-            };
+            let bytes = self.on_air_bytes(&pkg);
             let cost = self.radio.packet_cost(self.rf, bytes);
             if !view.spend(ledger, cost) {
                 break;

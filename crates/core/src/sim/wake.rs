@@ -28,6 +28,7 @@ pub(super) struct WakeStage {
     system: SystemKind,
     sampling_success: f64,
     fog_capable: bool,
+    fog_instructions: u64,
 }
 
 impl WakeStage {
@@ -37,6 +38,7 @@ impl WakeStage {
             system: cfg.system,
             sampling_success: cfg.sampling_success,
             fog_capable: cfg.system.is_fog_capable(),
+            fog_instructions: cfg.node.package.fog_instructions,
         }
     }
 }
@@ -71,7 +73,7 @@ impl Stage for WakeStage {
         let pkg = Package {
             origin: node,
             created: self.slot,
-            fog_remaining: view.cold.cfg.package.fog_instructions,
+            fog_remaining: self.fog_instructions,
             fog_done: false,
         };
         if self.fog_capable {

@@ -3,7 +3,7 @@
 //!
 //! Entry points are every function in the runner and slot-kernel
 //! modules ([`rules::PAR_ENTRY_GLOBS`]) — `run_batch`, `worker_loop`,
-//! `drain`, the fused `Pass` sweep, `run_stages`, and their helpers.
+//! `drain`, the fused-pass `sweep`, `run_stages`, and their helpers.
 //! Because the call graph links `R::map(...)` and `reducer.fold(...)`
 //! to *every* `Reduce` impl in the workspace ("assume reachable"),
 //! the closure covers each reducer body too.

@@ -39,7 +39,7 @@
 //! Entry selection is *function-shaped*, not file-shaped: only
 //! functions named `sweep`/`*_sweep` in [`rules::SHARD_ENTRY_FILES`]
 //! root the NF-SHARD closure, because the same files also contain the
-//! sanctioned coordinators (`run_stages`, `settle`, `ShardIter::new`)
+//! sanctioned coordinators (`run_stages`, `settle`, `shards`)
 //! that legitimately hold the whole fleet — and no sweep can call back
 //! into them. A stage body outside those files is still covered: the
 //! fused pass that calls it reaches it. Like [`crate::reach`], messages

@@ -568,9 +568,9 @@ pub const NV_COMMIT_MARKERS: &[&str] = &["commit", "checkpoint", "restore", "led
 /// Files that may contain shard sweeps: the six phase modules, the
 /// shard layer itself and the fork-join primitive. Only the
 /// *sweep-shaped* functions in them (named `sweep` or `*_sweep`: the
-/// shard driver's passes and every per-node `Stage::node_sweep` body)
+/// shard driver's `sweep` and every per-node `Stage::node_sweep` body)
 /// are NF-SHARD entry roots — `run_stages`, `settle` and
-/// `ShardIter::new` are sanctioned coordinators that legitimately name
+/// `shards` are sanctioned coordinators that legitimately name
 /// the full-fleet types, and no sweep can call back into them.
 pub const SHARD_ENTRY_FILES: &[&str] = &[
     "crates/core/src/sim/harvest.rs",

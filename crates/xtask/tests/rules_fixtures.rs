@@ -674,7 +674,7 @@ fn shard_rules_reach_stage_bodies_through_a_fused_pass() {
     let hit = report.violations.first().expect("stage-body hit");
     assert_eq!(
         hit.chain,
-        vec!["core::Pass::sweep", "core::TallyStage::node_sweep"],
+        vec!["core::sweep", "core::TallyStage::node_sweep"],
         "witness chain runs through the fused pass"
     );
     assert!(
