@@ -11,9 +11,10 @@
 //! capacitor, NOS nodes only the capacitor round-trip.
 //!
 //! The stage reads the capacitor, RTC, direct-pool and income-power
-//! columns and the node's curve; the harvester and budget efficiencies
-//! are per-run scalars, so nothing is stored per node here. There is no cross-node data flow, so the
-//! stage runs per shard, fused with wake into the slot's first pass.
+//! columns and the node's curve; the harvester and budget
+//! efficiencies are per-run scalars, so nothing is stored per node
+//! here. There is no cross-node data flow, so the stage runs per
+//! shard, fused with wake into the slot's first pass.
 
 use super::columns::NodeView;
 use super::ctx::SlotCtx;

@@ -186,11 +186,6 @@ pub(crate) struct ColumnsShard<'a> {
 }
 
 impl<'a> ColumnsShard<'a> {
-    /// Physical nodes in the shard.
-    pub(crate) fn len(&self) -> usize {
-        self.cold.len()
-    }
-
     /// Splits the first `take` nodes (fewer if the shard is shorter)
     /// off into a shard of their own, leaving the rest in `self`.
     fn carve(&mut self, take: usize) -> ColumnsShard<'a> {
@@ -210,7 +205,7 @@ impl<'a> ColumnsShard<'a> {
             direct_eff: self.direct_eff,
             discharge_eff: self.discharge_eff,
         };
-        self.base += head.len();
+        self.base += head.cold.len();
         head
     }
 
@@ -271,7 +266,7 @@ pub(crate) fn pos_per_shard(n_pos: usize, threads: usize) -> usize {
 /// metrics rows are the matching chunks of the per-position marks and
 /// of `rows` — no allocation per shard. Sinks record events when
 /// `record` is set.
-pub(crate) fn shards<'a>(
+fn shards<'a>(
     cols: &'a mut NodeColumns,
     ctx: &'a mut SlotCtx,
     rows: &'a mut [NodeMetrics],
