@@ -164,25 +164,25 @@ impl ShardSink<'_> {
 /// the columns — the view a sharded pass works on, and also the
 /// uncarved remainder [`shards`] cuts them from. `base` translates
 /// shard-local indices back to global node indices (for events).
-pub(crate) struct ColumnsShard<'a> {
+struct ColumnsShard<'a> {
     /// Global index of the shard's first physical node.
-    pub(crate) base: usize,
-    pub(crate) cap: &'a mut [SuperCap],
-    pub(crate) rtc: &'a mut [Rtc],
-    pub(crate) schedule: &'a [SlotSchedule],
-    pub(crate) position: &'a [usize],
-    pub(crate) fifo_depth: &'a mut [u32],
-    pub(crate) direct_left: &'a mut [Energy],
-    pub(crate) awake: &'a mut [bool],
-    pub(crate) income_power: &'a mut [Power],
-    pub(crate) balance_credit: &'a mut [Energy],
-    pub(crate) cold: &'a mut [NodeCold],
+    base: usize,
+    cap: &'a mut [SuperCap],
+    rtc: &'a mut [Rtc],
+    schedule: &'a [SlotSchedule],
+    position: &'a [usize],
+    fifo_depth: &'a mut [u32],
+    direct_left: &'a mut [Energy],
+    awake: &'a mut [bool],
+    income_power: &'a mut [Power],
+    balance_credit: &'a mut [Energy],
+    cold: &'a mut [NodeCold],
     /// This shard's slice of the per-node conservation ledgers.
-    pub(crate) ledgers: &'a mut [EnergyLedger],
+    ledgers: &'a mut [EnergyLedger],
     /// Direct-channel efficiency (per-run scalar, shared).
-    pub(crate) direct_eff: f64,
+    direct_eff: f64,
     /// Discharge-regulator efficiency (per-run scalar, shared).
-    pub(crate) discharge_eff: f64,
+    discharge_eff: f64,
 }
 
 impl<'a> ColumnsShard<'a> {
@@ -212,7 +212,7 @@ impl<'a> ColumnsShard<'a> {
     /// One [`NodeView`] row lens per node with the node's conservation
     /// ledger, in ascending node order, zipped from the column slices —
     /// no per-node indexing.
-    pub(crate) fn rows(&mut self) -> impl Iterator<Item = (NodeView<'_>, &mut EnergyLedger)> {
+    fn rows(&mut self) -> impl Iterator<Item = (NodeView<'_>, &mut EnergyLedger)> {
         let (base, direct_eff, discharge_eff) = (self.base, self.direct_eff, self.discharge_eff);
         self.cap
             .iter_mut()
